@@ -22,8 +22,8 @@ from .corpus import (Corpus, CorpusError, FoldAssignment, HeadingQuery,
 from .envgen import (CandidateSet, EnvSpec, build_test_env, build_train_env,
                      generate_candidates, read_candidates, write_candidates)
 from .evaluation import (RunFile, RunFormatError, evaluate_run, format_metrics,
-                         paired_t_test, read_run, run_from_rankings,
-                         write_metrics, write_run)
+                         format_p_value, paired_t_test, read_run,
+                         run_from_rankings, write_metrics, write_run)
 from .expansion import build_heading_support
 from .index import Index, Ranking, build_index, load_index, save_index
 from .ltr import (CaConfig, FeatureVector, assemble_feature_table,
@@ -235,7 +235,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         f"map-b\t{report_b.map:.6f}\t{run_b.name}",
         f"mean-diff\t{result.mean_diff:.6f}",
         f"t-statistic\t{result.t_statistic:.6f}",
-        f"p-value\t{result.p_value:.6g}",
+        f"p-value\t{format_p_value(result.p_value)}",
         f"alpha\t{result.alpha:g}",
         f"a-significantly-worse\t{'yes' if result.significant_worse else 'no'}",
         f"a-significantly-better\t{'yes' if better else 'no'}",
@@ -350,7 +350,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         sig_lines.append(
             f"{name}\t{report.map:.6f}\t{fused_report.map:.6f}\t"
             f"{result.mean_diff:.6f}\t{result.t_statistic:.4f}\t"
-            f"{result.p_value:.6g}\t{'yes' if result.significant_worse else 'no'}")
+            f"{format_p_value(result.p_value)}\t"
+            f"{'yes' if result.significant_worse else 'no'}")
     with open(out_dir / "significance.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(sig_lines) + "\n")
 

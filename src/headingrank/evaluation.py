@@ -157,6 +157,18 @@ def paired_t_test(ap_a: Mapping[str, float], ap_b: Mapping[str, float],
     )
 
 
+P_VALUE_FLOOR = 1e-300
+
+
+def format_p_value(p: float) -> str:
+    """Six significant digits; a p-value that underflowed prints as '<1e-300'.
+
+    stdtr returns 0 (or a subnormal) once |t| is large enough, and the
+    zero-variance case defines p = 0, but no finite sample proves p = 0.
+    """
+    return f"{p:.6g}" if p >= P_VALUE_FLOOR else f"<{P_VALUE_FLOOR:g}"
+
+
 def write_run(run: RunFile, path: str) -> None:
     """TREC run format, LF endings, scores with 6 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

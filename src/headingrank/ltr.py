@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Qrels
-from .evaluation import RunFile, read_run
+from .evaluation import RunFile
 from .index import Ranking, rank_items
 from .utils import derive_seed
 
@@ -111,9 +111,11 @@ def assemble_feature_table(runs: Sequence[RunFile]) -> dict[str, list[FeatureVec
 class _PackedQueries:
     """Training queries as padded numpy tensors for fast MAP evaluation.
 
-    Rows within a query are in ascending paragraph id, matching the
-    tie rule used everywhere else; padding rows sink to the bottom via
-    a -inf score so they never displace a real paragraph.
+    Rows within a query are in ascending paragraph id, matching the tie
+    rule used everywhere else. AP needs only the rank of each relevant
+    row: 1 + the rows scoring strictly higher + the rows scoring equal
+    at a lower row index. Padding rows score -inf, so they never
+    displace a real paragraph, and no query is ever fully sorted.
     """
 
     def __init__(self, table: Mapping[str, Sequence[FeatureVector]], qrels: Qrels,
@@ -127,9 +129,9 @@ class _PackedQueries:
             raise ValueError("no feature rows for any training query")
         nq = len(qids)
         self.features = np.zeros((nq, max_docs, n_features), dtype=np.float64)
-        self.rel = np.zeros((nq, max_docs), dtype=np.float64)
         self.pad = np.ones((nq, max_docs), dtype=bool)
         self.r_counts = np.zeros(nq, dtype=np.float64)
+        rel_rows: list[tuple[int, int]] = []
         for qi, qid in enumerate(qids):
             positives = qrels.relevant(qid)
             self.r_counts[qi] = len(positives)
@@ -142,17 +144,46 @@ class _PackedQueries:
                 self.features[qi, di] = fv.features
                 self.pad[qi, di] = False
                 if fv.paragraph_id in positives:
-                    self.rel[qi, di] = 1.0
-        self._ranks = np.arange(1, max_docs + 1, dtype=np.float64)
+                    rel_rows.append((qi, di))
+        # Flat (query, row) of every relevant row, grouped by query.
+        rel = np.array(rel_rows, dtype=np.intp).reshape(-1, 2)
+        self._rel_q, self._rel_d = rel.T.copy()
+        # Per relevant row: the rows at a lower index in its query, which
+        # win a tie against it.
+        self._rel_lower = np.arange(max_docs) < self._rel_d[:, None]
+        # Per relevant row: the relevant rows of its query, padded with the
+        # row itself, which never outranks itself.
+        per_query = np.bincount(self._rel_q, minlength=nq)
+        first = (np.cumsum(per_query) - per_query)[self._rel_q, None]
+        count = per_query[self._rel_q, None]
+        slots = np.arange(count.max(initial=1))
+        self._rel_peers = np.where(slots < count, first + slots,
+                                   np.arange(len(rel))[:, None])
 
-    def mean_ap(self, weights: np.ndarray) -> float:
-        scores = self.features @ weights
-        scores[self.pad] = -np.inf
-        order = np.argsort(-scores, axis=1, kind="stable")
-        rel_sorted = np.take_along_axis(self.rel, order, axis=1)
-        precision_at = np.cumsum(rel_sorted, axis=1) / self._ranks
-        ap = (precision_at * rel_sorted).sum(axis=1) / self.r_counts
-        return float(ap.mean())
+    def mean_ap(self, weights: np.ndarray) -> float | np.ndarray:
+        """MAP of one weight vector (nf,), or of each row of a batch (T, nf).
+
+        Bit-identical to sorting every query by score (stable, so ties
+        keep ascending row order) and averaging precision at each hit.
+        """
+        batch = np.atleast_2d(weights)
+        scores = np.empty((len(batch),) + self.pad.shape)
+        for trial, w in enumerate(batch):
+            # features @ w, one trial at a time: a single gemm over the
+            # whole batch may round a score differently
+            np.matmul(self.features, w, out=scores[trial])
+        scores[:, self.pad] = -np.inf
+        own = scores[:, self._rel_q, self._rel_d][..., None]
+        rows = scores[:, self._rel_q]
+        ranks = 1 + ((rows > own) | ((rows == own) & self._rel_lower)).sum(axis=-1)
+        hits = 1 + (ranks[:, self._rel_peers] < ranks[..., None]).sum(axis=-1)
+        # Precision at each relevant rank, laid out as the sorted ranking
+        # would hold it, so the sums below add the same terms in order.
+        precision = np.zeros_like(scores)
+        precision[np.arange(len(batch))[:, None], self._rel_q, ranks - 1] = hits / ranks
+        ap = precision.sum(axis=-1) / self.r_counts
+        maps = ap.mean(axis=-1)
+        return float(maps[0]) if np.ndim(weights) == 1 else maps
 
 
 def training_map(model: LinearModel, table: Mapping[str, Sequence[FeatureVector]],
@@ -181,11 +212,14 @@ def train_coordinate_ascent(table: Mapping[str, Sequence[FeatureVector]],
 
     Starting points are the unit vector of every feature plus
     cfg.restarts seeded uniform random vectors. Each pass sweeps the
-    coordinates in order, evaluating a bounded set of additive and
-    multiplicative moves, and keeps the best move only if it improves
-    MAP strictly; a pass with no accepted move ends that start early.
-    The best start wins, earlier start on ties, so retraining on the
-    same data and seed is bit-identical.
+    coordinates in order. A coordinate's sweep scores its bounded set
+    of additive and multiplicative moves in one batched MAP call, never
+    one that zeroes every weight, and keeps the first best move only if
+    it improves MAP strictly. A start ends after cfg.iterations passes,
+    or as soon as nf consecutive sweeps accept nothing: the weights are
+    then a fixed point, and the rest of the pass would only re-score
+    the same trial vectors. The best start wins, earlier start on ties,
+    so retraining on the same data and seed is bit-identical.
     """
     nf = len(feature_names)
     if nf == 0:
@@ -200,26 +234,30 @@ def train_coordinate_ascent(table: Mapping[str, Sequence[FeatureVector]],
     for start in starts:
         w = start.astype(np.float64).copy()
         current = packed.mean_ap(w)
+        idle = 0
         for _ in range(cfg.iterations):
-            improved = False
             for coord in range(nf):
-                base = w[coord]
+                values = _candidate_values(w[coord], cfg.step_sizes)
+                if not np.any(np.delete(w, coord)):
+                    # never let the model collapse to all zeros
+                    values = [v for v in values if v != 0.0]
+                trials = np.tile(w, (len(values), 1))
+                trials[:, coord] = values
                 chosen = None
                 chosen_map = current
-                for value in _candidate_values(base, cfg.step_sizes):
-                    w[coord] = value
-                    if not np.any(w):
-                        continue  # never let the model collapse to all zeros
-                    m = packed.mean_ap(w)
+                for value, m in zip(values, packed.mean_ap(trials).tolist()):
                     if m > chosen_map + cfg.tolerance:
                         chosen_map = m
                         chosen = value
-                w[coord] = base
-                if chosen is not None:
+                if chosen is None:
+                    idle += 1
+                    if idle == nf:
+                        break
+                else:
                     w[coord] = chosen
                     current = chosen_map
-                    improved = True
-            if not improved:
+                    idle = 0
+            if idle == nf:
                 break
         if current > best_map:
             best_map = current
@@ -287,18 +325,6 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
             train_map=fold_train_map,
         ))
     return merged, reports
-
-
-def ingest_external_scores(path: str, name: str | None = None) -> RunFile:
-    """Load precomputed (query, paragraph, score) triples in run format.
-
-    Duplicate (query, paragraph) pairs are rejected by the run reader,
-    so any system's scores can be dropped in as one more feature.
-    """
-    run = read_run(path)
-    if name is not None:
-        return RunFile(name=name, rankings=run.rankings)
-    return run
 
 
 def save_model(model: LinearModel, path: str) -> None:

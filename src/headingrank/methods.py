@@ -71,8 +71,8 @@ class MethodParams:
             raise ValueError("k1 must be > 0")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if self.mu <= 0:
+            raise ValueError("mu must be > 0")
         if min(self.fb_docs, self.fb_terms, self.fb_entities,
                self.rocchio_passages) < 1:
             raise ValueError("feedback budgets must be >= 1")

@@ -173,6 +173,15 @@ def test_run_invalid_combination_exits_2(corpus_path, tmp_path, capsys):
     assert "cannot be applied" in capsys.readouterr().err
 
 
+def test_run_rejects_zero_mu(corpus_path, tmp_path, capsys):
+    # bm25 never smooths, so mu=0 is caught by validation, not by scoring
+    code = run_cli("run", "--corpus", corpus_path, "--method", "bm25",
+                   "--mu", "0", "--out", tmp_path / "r.txt")
+    assert code == 2
+    assert "mu must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_run_dense_method_needs_embeddings_flag(corpus_path, tmp_path, capsys):
     code = run_cli("run", "--corpus", corpus_path, "--method", "glove-cs",
                    "--out", tmp_path / "r.txt")

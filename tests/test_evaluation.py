@@ -18,6 +18,7 @@ from headingrank.evaluation import (
     average_precision,
     evaluate_run,
     format_metrics,
+    format_p_value,
     paired_t_test,
     r_precision,
     read_run,
@@ -189,6 +190,21 @@ def test_ttest_constant_nonzero_diff_degenerate():
     assert res.t_statistic == math.inf
     assert res.p_value == 0.0
     assert not res.significant_worse
+    assert format_p_value(res.p_value) == "<1e-300"
+
+
+def test_underflowing_p_value_prints_as_floor():
+    # A beats B by 0.5 on 50 queries with 1e-9 jitter: t is ~7e9 and
+    # Student's t CDF underflows to exactly zero.
+    ap_a = {f"q{i}": 0.5 + (i % 2) * 1e-9 for i in range(50)}
+    ap_b = {q: 0.0 for q in ap_a}
+    res = paired_t_test(ap_a, ap_b)
+    assert res.p_value == 0.0
+    assert format_p_value(res.p_value) == "<1e-300"
+    assert format_p_value(5e-324) == "<1e-300"
+    assert format_p_value(1e-300) == "1e-300"
+    assert format_p_value(0.0123456789) == "0.0123457"
+    assert format_p_value(1.0) == "1"
 
 
 def test_ttest_mismatched_queries_lists_difference():
@@ -249,8 +265,9 @@ def test_read_run_rejects_increasing_scores(tmp_path):
 def test_read_run_rejects_duplicate_paragraph(tmp_path):
     path = tmp_path / "run.txt"
     path.write_text("q1 Q0 a 1 2.0 r\nq1 Q0 a 2 1.0 r\n")
-    with pytest.raises(RunFormatError, match="duplicate paragraph"):
+    with pytest.raises(RunFormatError, match="duplicate paragraph") as exc:
         read_run(str(path))
+    assert exc.value.row_no == 2
 
 
 def test_error_carries_row_number(tmp_path):

@@ -1,11 +1,14 @@
 """Feature assembly, packed MAP evaluation, coordinate ascent, CV folds."""
 
+import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from headingrank.corpus import Qrels
-from headingrank.evaluation import RunFile, RunFormatError, average_precision
+from headingrank.evaluation import RunFile, average_precision
 from headingrank.index import Ranking, rank_items
 from headingrank.ltr import (
     CaConfig,
@@ -14,11 +17,12 @@ from headingrank.ltr import (
     assemble_feature_table,
     assemble_features,
     cross_validate,
-    ingest_external_scores,
     load_model,
     save_model,
     train_coordinate_ascent,
     training_map,
+    _candidate_values,
+    _PackedQueries,
 )
 
 
@@ -136,6 +140,86 @@ def test_training_map_checks_arity():
         training_map(LinearModel(("f",), (1.0,)), table, qrels)
 
 
+# --- packed MAP vs the sorted-ranking oracle ---------------------------------
+
+class _SortedMap:
+    """Reference MAP: stable-sort each query by score, average precision at hits."""
+
+    def __init__(self, table, qrels, n_features):
+        qids = [q for q in sorted(table) if qrels.relevant(q)]
+        max_docs = max(len(table[q]) for q in qids)
+        nq = len(qids)
+        self.features = np.zeros((nq, max_docs, n_features), dtype=np.float64)
+        self.rel = np.zeros((nq, max_docs), dtype=np.float64)
+        self.pad = np.ones((nq, max_docs), dtype=bool)
+        self.r_counts = np.zeros(nq, dtype=np.float64)
+        for qi, qid in enumerate(qids):
+            positives = qrels.relevant(qid)
+            self.r_counts[qi] = len(positives)
+            for di, fv in enumerate(table[qid]):
+                self.features[qi, di] = fv.features
+                self.pad[qi, di] = False
+                if fv.paragraph_id in positives:
+                    self.rel[qi, di] = 1.0
+        self._ranks = np.arange(1, max_docs + 1, dtype=np.float64)
+
+    def mean_ap(self, weights):
+        scores = self.features @ weights
+        scores[self.pad] = -np.inf
+        order = np.argsort(-scores, axis=1, kind="stable")
+        rel_sorted = np.take_along_axis(self.rel, order, axis=1)
+        precision_at = np.cumsum(rel_sorted, axis=1) / self._ranks
+        ap = (precision_at * rel_sorted).sum(axis=1) / self.r_counts
+        return float(ap.mean())
+
+
+def _tied_table(rng, nq, nf):
+    # Features on a quarter grid tie often; 0-12 rows per query pad
+    # unevenly; 1-6 positives, some of them absent from the rows.
+    table = {}
+    positives = {}
+    for qi in range(nq):
+        qid = f"q{qi}"
+        n_docs = rng.randint(0 if qi else 1, 12)
+        table[qid] = [
+            FeatureVector(qid, f"p{di:02d}",
+                          tuple(rng.randint(0, 4) / 4.0 for _ in range(nf)))
+            for di in range(n_docs)
+        ]
+        pool = range(n_docs + 2)
+        n_pos = min(rng.randint(1, 6), len(pool))
+        positives[qid] = frozenset(f"p{d:02d}" for d in rng.sample(pool, n_pos))
+    return table, Qrels(positives=positives)
+
+
+def test_mean_ap_is_bitwise_the_sorted_ranking_map():
+    rng = random.Random(2024)
+    checked = 0
+    most_hits = 0
+    for _ in range(150):
+        nf = rng.randint(1, 4)
+        table, qrels = _tied_table(rng, rng.randint(1, 12), nf)
+        most_hits = max(most_hits, *(
+            sum(fv.paragraph_id in qrels.relevant(qid) for fv in rows)
+            for qid, rows in table.items()))
+        packed = _PackedQueries(table, qrels, nf)
+        oracle = _SortedMap(table, qrels, nf)
+        batch = np.array([
+            [rng.choice((0.0, 0.5, -0.5, 1.0, -1.0, rng.uniform(-1, 1)))
+             for _ in range(nf)]
+            for _ in range(rng.randint(1, 12))
+        ])
+        maps = packed.mean_ap(batch)
+        assert maps.shape == (len(batch),)
+        for w, m in zip(batch, maps):
+            expected = oracle.mean_ap(w.copy())
+            assert packed.mean_ap(w) == expected  # exact, not approx
+            assert m == expected
+            checked += 1
+    assert checked > 500
+    assert most_hits >= 3  # AP sums three or more terms somewhere
+
+
 # --- coordinate ascent ------------------------------------------------------
 
 def _separable_table(nq=8, noise_seed=3):
@@ -224,6 +308,90 @@ def test_trained_model_never_all_zero():
     assert any(w != 0.0 for w in model.weights)
 
 
+# --- early stop vs the full-pass trainer ------------------------------------
+
+def _full_pass_ascent(table, qrels, nf, cfg):
+    """Reference trainer: one MAP call per trial, every pass run to its end."""
+    packed = _SortedMap(table, qrels, nf)
+    rng = np.random.default_rng(cfg.seed)
+    starts = [np.eye(nf, dtype=np.float64)[i] for i in range(nf)]
+    for _ in range(cfg.restarts):
+        starts.append(rng.uniform(-1.0, 1.0, size=nf))
+    best_weights = None
+    best_map = -math.inf
+    for start in starts:
+        w = start.astype(np.float64).copy()
+        current = packed.mean_ap(w)
+        for _ in range(cfg.iterations):
+            improved = False
+            for coord in range(nf):
+                base = w[coord]
+                chosen = None
+                chosen_map = current
+                for value in _candidate_values(base, cfg.step_sizes):
+                    w[coord] = value
+                    if not np.any(w):
+                        continue
+                    m = packed.mean_ap(w)
+                    if m > chosen_map + cfg.tolerance:
+                        chosen_map = m
+                        chosen = value
+                w[coord] = base
+                if chosen is not None:
+                    w[coord] = chosen
+                    current = chosen_map
+                    improved = True
+            if not improved:
+                break
+        if current > best_map:
+            best_map = current
+            best_weights = w.copy()
+    return tuple(float(x) for x in best_weights)
+
+
+BINDING_CAP = CaConfig(restarts=1, iterations=2, step_sizes=(0.2,))
+
+
+@pytest.mark.parametrize("cfg", [
+    CaConfig(restarts=2),
+    CaConfig(restarts=1, iterations=1),
+    BINDING_CAP,
+    CaConfig(restarts=3, step_sizes=(0.3, 1.0)),
+], ids=["default", "one-pass", "binding-cap", "coarse-steps"])
+def test_early_stop_matches_full_pass_trainer(cfg):
+    rng = random.Random(cfg.iterations * 100 + cfg.restarts)
+    cap_bound = False
+    for trial in range(6):
+        nf = 1 if trial == 0 else rng.randint(2, 4)
+        table, qrels = _random_table(rng, nq=6, nf=nf, quantize=trial % 2 == 1)
+        names = tuple(f"f{i}" for i in range(nf))
+        trial_cfg = replace(cfg, seed=trial)
+        expected = _full_pass_ascent(table, qrels, nf, trial_cfg)
+        model = train_coordinate_ascent(table, qrels, names, trial_cfg)
+        assert model.weights == expected  # exact float equality
+        cap_bound |= expected != _full_pass_ascent(
+            table, qrels, nf, replace(trial_cfg, iterations=25))
+    if cfg is BINDING_CAP:
+        assert cap_bound
+
+
+def test_step_that_zeroes_the_only_weight_is_never_taken():
+    # At weight 0 every row ties and keeps ascending id, which ranks the
+    # positive first; any positive weight ranks it last. From the unit
+    # start, the step of 1.0 to zero is the only improving move, and the
+    # trainer must skip it.
+    table = {f"q{qi}": [FeatureVector(f"q{qi}", f"p{di}", (di / 3.0,))
+                        for di in range(4)]
+             for qi in range(3)}
+    qrels = Qrels(positives={qid: frozenset({"p0"}) for qid in table})
+    oracle = _SortedMap(table, qrels, 1)
+    assert oracle.mean_ap(np.zeros(1)) > oracle.mean_ap(np.ones(1))
+    cfg = CaConfig(restarts=1, step_sizes=(1.0,))
+    model = train_coordinate_ascent(table, qrels, ("f",), cfg)
+    assert model.weights == _full_pass_ascent(table, qrels, 1, cfg)
+    assert model.weights != (0.0,)
+
+
 # --- cross-validation -------------------------------------------------------
 
 def test_cross_validate_coverage_and_no_leakage():
@@ -271,26 +439,7 @@ def test_cross_validate_validates_k():
         cross_validate(table, qrels, ("t", "n"), k=5)
 
 
-# --- external scores and model files ----------------------------------------
-
-def test_ingest_external_scores(tmp_path):
-    path = tmp_path / "ext.txt"
-    path.write_text("q1 Q0 pa 1 0.9 duet\nq1 Q0 pb 2 0.5 duet\n"
-                    "q2 Q0 pc 1 0.7 duet\n")
-    run = ingest_external_scores(str(path))
-    assert run.name == "duet"
-    assert run.rankings["q1"].paragraph_ids() == ["pa", "pb"]
-    renamed = ingest_external_scores(str(path), name="external")
-    assert renamed.name == "external"
-
-
-def test_ingest_external_rejects_duplicates(tmp_path):
-    path = tmp_path / "ext.txt"
-    path.write_text("q1 Q0 pa 1 0.9 duet\nq1 Q0 pa 2 0.5 duet\n")
-    with pytest.raises(RunFormatError) as exc:
-        ingest_external_scores(str(path))
-    assert exc.value.row_no == 2
-
+# --- external runs and model files -------------------------------------------
 
 def test_external_subset_fills_zero():
     internal = RunFile("a", {"q1": Ranking("q1", (("pa", 2.0), ("pb", 1.0)))})

@@ -111,6 +111,8 @@ def test_params_field_validation():
     with pytest.raises(ValueError):
         MethodParams(mu=-1.0)
     with pytest.raises(ValueError):
+        MethodParams(mu=0.0)
+    with pytest.raises(ValueError):
         MethodParams(lam=1.5)
     with pytest.raises(ValueError):
         MethodParams(fb_docs=0)
