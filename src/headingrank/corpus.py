@@ -63,17 +63,11 @@ class Corpus:
     pages: tuple[Page, ...]
     paragraphs: dict[str, Paragraph]
 
-    def page_ids(self) -> list[str]:
-        return [p.id for p in self.pages]
-
     def page(self, page_id: str) -> Page:
         for p in self.pages:
             if p.id == page_id:
                 return p
         raise KeyError(page_id)
-
-    def text_of(self, paragraph_id: str) -> str:
-        return self.paragraphs[paragraph_id].text
 
 
 @dataclass(frozen=True)
@@ -106,9 +100,6 @@ class FoldAssignment:
 
     def fold_of(self, page_id: str) -> int:
         return self.mapping[page_id]
-
-    def pages_in(self, fold: int) -> list[str]:
-        return sorted(pid for pid, f in self.mapping.items() if f == fold)
 
 
 def iter_sections(page: Page) -> Iterator[Section]:

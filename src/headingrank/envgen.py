@@ -8,13 +8,18 @@ volume of foreign paragraphs in shuffled order. Every heading draws
 from its own seeded generator, so regenerating one heading never
 perturbs another and the whole environment is reproducible from a
 single master seed.
+
+Each page's paragraph list and the sorted list of every referenced
+paragraph are built once per corpus; a page's foreign pool is that
+sorted list minus the page's own paragraphs, so a paragraph shared by
+two pages is never foreign to a page that holds it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .corpus import Corpus, HeadingQuery, Page, iter_sections, section_query_id
 from .index import Bm25Params, Index, bm25_score, retrieve_topk
@@ -58,22 +63,25 @@ def _page_paragraph_ids(page: Page) -> list[str]:
     return out
 
 
-def _foreign_pool(corpus: Corpus, page: Page) -> list[str]:
-    # A paragraph can be referenced from more than one page; anything
-    # the current page already holds must not reappear as foreign.
-    own = set(_page_paragraph_ids(page))
-    pool: set[str] = set()
-    for other in corpus.pages:
-        if other.id == page.id:
-            continue
-        pool.update(p for p in _page_paragraph_ids(other) if p not in own)
-    return sorted(pool)
+def _page_pools(corpus: Corpus) -> Iterator[tuple[Page, list[str], list[str]]]:
+    """(page, its paragraph ids, its sorted foreign pool) for every page.
+
+    Sections are walked once per page and the referenced ids sorted once
+    per corpus. A paragraph can be referenced from more than one page;
+    anything a page already holds never reappears in its foreign pool.
+    Pools are yielded one page at a time, so only one is alive at once.
+    """
+    page_pids = [_page_paragraph_ids(page) for page in corpus.pages]
+    everything = sorted({p for pids in page_pids for p in pids})
+    for page, pids in zip(corpus.pages, page_pids):
+        own = set(pids)
+        yield page, pids, [p for p in everything if p not in own]
 
 
 def _sample(rng: random.Random, pool: Sequence[str], want: int) -> tuple[list[str], int]:
     """Up to `want` items without replacement, plus the unmet deficit."""
     take = min(want, len(pool))
-    return rng.sample(list(pool), take), want - take
+    return rng.sample(pool, take), want - take
 
 
 def build_train_env(corpus: Corpus, spec: EnvSpec = EnvSpec()) -> dict[str, CandidateSet]:
@@ -83,12 +91,11 @@ def build_train_env(corpus: Corpus, spec: EnvSpec = EnvSpec()) -> dict[str, Cand
     from other sections of the same article and neg_other_article from
     other articles, all drawn without replacement under a seed derived
     from (master seed, query id). When a pool runs short the whole pool
-    is taken and the shortfall recorded.
+    is taken and the shortfall recorded. A paragraph the page itself
+    holds, even one shared with another page, is never other-article.
     """
     sets: dict[str, CandidateSet] = {}
-    for page in corpus.pages:
-        page_pids = _page_paragraph_ids(page)
-        foreign = _foreign_pool(corpus, page)
+    for page, page_pids, foreign in _page_pools(corpus):
         for section in iter_sections(page):
             if not section.paragraphs:
                 continue
@@ -121,12 +128,11 @@ def build_test_env(corpus: Corpus, seed: int = 0) -> dict[str, CandidateSet]:
     Each pool holds the whole article's paragraphs plus an equal count
     sampled from other articles, shuffled under the heading's derived
     seed. Provenance still records where each candidate came from so
-    downstream analysis can slice by origin.
+    downstream analysis can slice by origin. A paragraph the page itself
+    holds, even one shared with another page, is never other-article.
     """
     sets: dict[str, CandidateSet] = {}
-    for page in corpus.pages:
-        page_pids = _page_paragraph_ids(page)
-        foreign = _foreign_pool(corpus, page)
+    for page, page_pids, foreign in _page_pools(corpus):
         for section in iter_sections(page):
             qid = section_query_id(page, section)
             rng = random.Random(derive_seed(seed, qid))

@@ -67,10 +67,7 @@ class MethodParams:
             raise InvalidCombinationError(self.method, self.expansion)
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
-        if self.k1 <= 0:
-            raise ValueError("k1 must be > 0")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
+        self.bm25_params()  # Bm25Params validates k1 and b
         if self.mu <= 0:
             raise ValueError("mu must be > 0")
         if min(self.fb_docs, self.fb_terms, self.fb_entities,

@@ -15,15 +15,13 @@ failure so callers can tell "no entities" from "no linker".
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .index import Index, SparseVector
-
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+from .textproc import TOKEN_RE
 
 
 class EmbeddingFormatError(ValueError):
@@ -157,7 +155,7 @@ class GazetteerLinker:
         self._table: dict[tuple[str, ...], str] = {}
         self._max_words = 0
         for surface, entity_id in surface_to_entity.items():
-            words = tuple(_WORD_RE.findall(surface.lower()))
+            words = tuple(TOKEN_RE.findall(surface.lower()))
             if not words:
                 continue
             # first definition of a surface wins
@@ -166,7 +164,7 @@ class GazetteerLinker:
                 self._max_words = max(self._max_words, len(words))
 
     def link(self, text: str) -> list[EntityMention]:
-        words = _WORD_RE.findall(text.lower())
+        words = TOKEN_RE.findall(text.lower())
         counts: dict[str, int] = {}
         i = 0
         n = len(words)
@@ -211,17 +209,6 @@ def load_gazetteer(path: str) -> GazetteerLinker:
             if surface and surface not in table:
                 table[surface] = entity_id
     return GazetteerLinker(table)
-
-
-def link_entities(text: str, linker: EntityLinker | None) -> list[EntityMention]:
-    """Mentions with occurrence counts via the configured linker.
-
-    A missing linker is reported as unavailable, which callers must not
-    confuse with a text that simply contains no entities.
-    """
-    if linker is None:
-        raise LinkerUnavailableError("no entity linker configured")
-    return linker.link(text)
 
 
 def build_entity_stats(texts: Mapping[str, str], linker: EntityLinker) -> EntityStats:

@@ -20,8 +20,9 @@ from importlib import resources
 from . import porter
 
 # Non-alphanumeric characters separate tokens; underscore is not
-# treated as alphanumeric. Hyphens and apostrophes split.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# treated as alphanumeric. Hyphens and apostrophes split. The gazetteer
+# linker splits surfaces and text with the same pattern.
+TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def load_stopwords(path: str | None = None) -> frozenset[str]:
@@ -59,7 +60,7 @@ HEADING_CONFIG = TokenPipelineConfig(drop_digits=True)
 def tokenize(text: str, cfg: TokenPipelineConfig = DEFAULT_CONFIG) -> list[str]:
     """Analyze text into the pipeline's token list. Empty output is fine."""
     out = []
-    for raw in _TOKEN_RE.findall(text.lower()):
+    for raw in TOKEN_RE.findall(text.lower()):
         if raw in cfg.stopwords:
             continue
         if cfg.drop_digits and raw.isdigit():

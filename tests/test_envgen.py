@@ -1,8 +1,11 @@
 """Train/test environment construction and first-stage candidate pools."""
 
+import inspect
+import random
+
 import pytest
 
-from headingrank.corpus import all_queries, derive_qrels
+from headingrank.corpus import all_queries, derive_qrels, iter_sections
 from headingrank.envgen import (
     PROVENANCE_OTHER,
     PROVENANCE_RETRIEVED,
@@ -10,6 +13,7 @@ from headingrank.envgen import (
     PROVENANCE_TRUE,
     CandidateSet,
     EnvSpec,
+    _page_pools,
     build_test_env,
     build_train_env,
     generate_candidates,
@@ -136,6 +140,93 @@ def test_train_env_skips_paragraphless_headings():
     env = build_train_env(corpus)
     assert "a/Empty" not in env
     assert "a/Empty/Full" in env
+
+
+def test_shared_paragraph_is_never_other_article():
+    # x1 is defined on page a and referenced from page b.
+    corpus = corpus_from_pages([
+        page("a", "A", [section("H", [("x1", "shared text"), ("a1", "alpha")]),
+                        section("K", [("a2", "alpha two")])]),
+        page("b", "B", [section("H", [("x1", None), ("b1", "beta")]),
+                        section("K", [("b2", "beta two")])]),
+        page("c", "C", [section("H", [("c1", "gamma")])]),
+    ])
+    spec = EnvSpec(neg_same_article=50, neg_other_article=50, seed=3)
+    for env in (build_train_env(corpus, spec), build_test_env(corpus, seed=3)):
+        for qid, cs in env.items():
+            if qid.startswith(("a/", "b/")):
+                assert cs.provenance.get("x1") != PROVENANCE_OTHER, qid
+    # The budget takes the whole foreign pool, so x1 is foreign to c.
+    assert build_train_env(corpus, spec)["c/H"].provenance["x1"] == PROVENANCE_OTHER
+
+
+# --- per-page foreign pools -----------------------------------------------------
+
+def _reference_page_pids(page):
+    return [p for s in iter_sections(page) for p in s.paragraphs]
+
+
+def _reference_foreign_pool(corpus, page):
+    """The per-page rebuild that _page_pools replaced, kept as an oracle."""
+    own = set(_reference_page_pids(page))
+    pool = set()
+    for other in corpus.pages:
+        if other.id == page.id:
+            continue
+        pool.update(p for p in _reference_page_pids(other) if p not in own)
+    return sorted(pool)
+
+
+def _random_corpus(rng):
+    """1-5 pages of nested, sometimes empty sections; some paragraphs are
+    references to ones defined on an earlier page."""
+    defined = []
+    counter = iter(range(10**6))
+
+    def sections(depth, used):
+        out = []
+        for _ in range(rng.randint(0 if depth else 1, 3)):
+            paras = []
+            for _ in range(rng.randint(0, 3)):
+                shared = [p for p in defined if p not in used]
+                if shared and rng.random() < 0.35:
+                    pid = rng.choice(shared)
+                    paras.append((pid, None))
+                else:
+                    pid = f"p{next(counter):03d}"
+                    paras.append((pid, f"text {pid}"))
+                used.add(pid)
+            children = (sections(depth + 1, used)
+                        if depth < 2 and rng.random() < 0.4 else None)
+            out.append(section(f"H{next(counter)}", paras, children))
+        return out
+
+    pages = []
+    for pi in range(rng.randint(1, 5)):
+        used = set()
+        pages.append(page(f"pg{pi}", f"Title {pi}", sections(0, used)))
+        defined.extend(sorted(used - set(defined)))
+    return corpus_from_pages(pages)
+
+
+def test_page_pools_match_reference_pool():
+    rng = random.Random(20)
+    corpora_with_shared = 0
+    for _ in range(60):
+        corpus = _random_corpus(rng)
+        pools = _page_pools(corpus)
+        assert inspect.isgenerator(pools)
+        triples = list(pools)
+        assert [t[0] for t in triples] == list(corpus.pages)
+        for pg, pids, foreign in triples:
+            assert pids == _reference_page_pids(pg)
+            assert foreign == _reference_foreign_pool(corpus, pg)
+        holders = {}
+        for pg in corpus.pages:
+            for pid in _reference_page_pids(pg):
+                holders.setdefault(pid, set()).add(pg.id)
+        corpora_with_shared += any(len(h) > 1 for h in holders.values())
+    assert corpora_with_shared >= 10
 
 
 # --- test environment ---------------------------------------------------------

@@ -19,7 +19,6 @@ from headingrank.semvec import (
     build_entity_stats,
     cosine,
     entity_vector,
-    link_entities,
     load_embeddings,
     load_entity_stats,
     load_gazetteer,
@@ -166,18 +165,14 @@ def test_linker_case_and_punctuation_insensitive():
 
 def test_linker_no_entities_is_empty_not_error():
     assert GazetteerLinker(NYC_GAZ).link("nothing to see here") == []
+    # "No linker" is its own error, still catchable as a linker failure.
+    assert isinstance(LinkerUnavailableError("x"), LinkerError)
 
 
 def test_linker_deterministic():
     linker = GazetteerLinker(NYC_GAZ)
     text = "New York, new york city, York"
     assert linker.link(text) == linker.link(text)
-
-
-def test_link_entities_requires_linker():
-    with pytest.raises(LinkerUnavailableError):
-        link_entities("some text", None)
-    assert isinstance(LinkerUnavailableError("x"), LinkerError)
 
 
 def test_caching_linker_counts_calls():
