@@ -151,6 +151,22 @@ def _texts(corpus: Corpus) -> dict[str, str]:
     return {pid: p.text for pid, p in corpus.paragraphs.items()}
 
 
+def _corpus_index(args: argparse.Namespace, texts: Mapping[str, str],
+                  cfg: TokenPipelineConfig) -> Index:
+    """The saved --index, if it covers exactly the corpus's paragraphs, else a fresh one."""
+    if not args.index:
+        return build_index(texts, cfg)
+    ix = load_index(args.index)
+    if ix.doc_lengths.keys() != texts.keys():
+        only_index = len(ix.doc_lengths.keys() - texts.keys())
+        only_corpus = len(texts.keys() - ix.doc_lengths.keys())
+        raise CliInputError(
+            f"index {args.index} was not built from this corpus: "
+            f"{only_index} paragraph ids only in the index, "
+            f"{only_corpus} only in the corpus")
+    return ix
+
+
 # --- subcommands --------------------------------------------------------
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -184,7 +200,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     texts = _texts(corpus)
     cfg = _token_config(args)
-    ix = load_index(args.index) if args.index else build_index(texts, cfg)
+    ix = _corpus_index(args, texts, cfg)
     queries = all_queries(corpus, cfg)
     params = _method_params(args, args.method, args.expansion)
     res = _Resources(args, texts)
@@ -288,7 +304,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     texts = _texts(corpus)
     cfg = _token_config(args)
-    ix = load_index(args.index) if args.index else build_index(texts, cfg)
+    ix = _corpus_index(args, texts, cfg)
     queries = sorted(all_queries(corpus, cfg), key=lambda q: q.query_id)
     qrels = derive_qrels(corpus)
     write_qrels(qrels, str(out_dir / "qrels.txt"))

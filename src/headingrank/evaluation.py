@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from scipy.special import stdtr
-
 from .corpus import Qrels
 from .index import Ranking
 
@@ -146,6 +144,8 @@ def paired_t_test(ap_a: Mapping[str, float], ap_b: Mapping[str, float],
         p = 0.0
     else:
         t = mean / (sd / math.sqrt(n))
+        # imported here, so commands that run no t-test never load scipy
+        from scipy.special import stdtr
         # two-tailed p from the lower tail of Student's t
         p = 2.0 * float(stdtr(n - 1, -abs(t)))
     return TTestResult(

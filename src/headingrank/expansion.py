@@ -17,7 +17,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, FoldAssignment, HeadingQuery, iter_sections
-from .index import Index, SparseVector, lm_dirichlet_score, matching_paragraphs, rank_items
+from .index import (Index, SparseVector, lm_dirichlet_scores, matching_paragraphs,
+                    rank_items, tfidf_idf)
 from .semvec import (DenseVector, EmbeddingStore, EntityLinker, EntityStats,
                      LinkerError, entity_vector, normalized)
 from .textproc import heading_key
@@ -77,7 +78,7 @@ def _feedback_docs(ix: Index, terms: Sequence[str], fb_docs: int,
     pool = matching_paragraphs(ix, terms)
     if not pool:
         return []
-    scored = {pid: lm_dirichlet_score(ix, terms, pid, mu=mu) for pid in pool}
+    scored = lm_dirichlet_scores(ix, terms, pool, mu=mu)
     return list(rank_items("", scored, k=fb_docs).items)
 
 
@@ -277,10 +278,7 @@ def term_feedback_vector(terms: Sequence[WeightedTerm], ix: Index) -> SparseVect
     """
     entries: dict[str, float] = {}
     for wt in terms:
-        df = ix.doc_freq.get(wt.term, 0)
-        if df == 0:
-            continue
-        idf = math.log(ix.n_docs / df)
+        idf = tfidf_idf(ix.doc_freq, ix.n_docs, wt.term)
         if idf == 0.0:
             continue
         entries[wt.term] = entries.get(wt.term, 0.0) + wt.weight * idf
@@ -296,10 +294,7 @@ def term_feedback_dense(terms: Sequence[WeightedTerm], store: EmbeddingStore,
         vec = store.get(wt.term)
         if vec is None:
             continue
-        df = ix.doc_freq.get(wt.term, 0)
-        if df == 0:
-            continue
-        idf = math.log(ix.n_docs / df)
+        idf = tfidf_idf(ix.doc_freq, ix.n_docs, wt.term)
         if idf == 0.0:
             continue
         acc += wt.weight * idf * vec
@@ -317,10 +312,7 @@ def entity_feedback_vector(entities: Sequence[WeightedEntity],
         vec = store.get(we.entity_id)
         if vec is None:
             continue
-        ldf = stats.link_doc_freq.get(we.entity_id, 0)
-        if ldf == 0:
-            continue
-        idf = math.log(stats.n_docs / ldf)
+        idf = tfidf_idf(stats.link_doc_freq, stats.n_docs, we.entity_id)
         if idf == 0.0:
             continue
         acc += we.weight * idf * vec

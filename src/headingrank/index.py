@@ -3,10 +3,16 @@
 Scoring functions:
   - bm25_score: Okapi BM25 with a positive idf, ln(1 + (N+0.5)/(df+0.5)).
   - tfidf_vector: logarithmic L2-normalized TF-IDF, (1+ln tf) * ln(N/df).
-  - lm_dirichlet_score: Dirichlet-smoothed query log-likelihood.
+  - lm_dirichlet_scores: Dirichlet-smoothed query log-likelihood of a pool.
 
 All logs are natural; cosine and argmax ranking are invariant to the
 base anyway. Ties in rankings always break by ascending paragraph id.
+
+Whatever does not depend on the paragraph is computed once per query,
+not once per (query, paragraph) pair: BM25 callers look up each term's
+idf once (bm25_weight is the per-pair formula), and
+lm_dirichlet_scores computes each term's smoothing mass once per pool.
+A SparseVector computes its norm once, on first use, and keeps it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .textproc import TokenPipelineConfig, DEFAULT_CONFIG, tokenize
 
@@ -36,12 +43,20 @@ class Bm25Params:
 
 @dataclass(frozen=True)
 class SparseVector:
-    """Term-keyed vector; produced L2-normalized by tfidf_vector."""
+    """Term-keyed vector; produced L2-normalized by tfidf_vector.
+
+    Treat entries as read-only: the norm is computed on first use and
+    kept. It is not a field, so == still compares entries only.
+    """
 
     entries: dict[str, float]
 
-    def norm(self) -> float:
+    @cached_property
+    def _norm(self) -> float:
         return math.sqrt(sum(w * w for w in self.entries.values()))
+
+    def norm(self) -> float:
+        return self._norm
 
     def dot(self, other: "SparseVector") -> float:
         a, b = self.entries, other.entries
@@ -112,9 +127,34 @@ def build_index(paragraphs: Mapping[str, str],
     return Index(postings=postings, doc_lengths=doc_lengths)
 
 
+def tfidf_idf(doc_freq: Mapping[str, int], n_docs: int, key: str) -> float:
+    """ln(n_docs / df) of a term or entity; 0.0 when df is 0.
+
+    Callers drop a key whose idf is 0.0: one no document holds, or one
+    every document holds.
+    """
+    df = doc_freq.get(key, 0)
+    if df == 0:
+        return 0.0
+    return math.log(n_docs / df)
+
+
 def bm25_idf(ix: Index, term: str) -> float:
     df = ix.doc_freq.get(term, 0)
     return math.log(1.0 + (ix.n_docs + 0.5) / (df + 0.5))
+
+
+def bm25_length_norm(ix: Index, paragraph_id: str, params: Bm25Params) -> float:
+    """1 - b + b * |d| / avgdl."""
+    return 1.0 - params.b + params.b * ix.doc_lengths[paragraph_id] / ix.avg_doc_len
+
+
+def bm25_weight(idf: float, tf: int, length_norm: float,
+                params: Bm25Params) -> float:
+    """One term's BM25 contribution from its parts (0 when tf is 0)."""
+    if tf == 0:
+        return 0.0
+    return idf * tf * (params.k1 + 1.0) / (tf + params.k1 * length_norm)
 
 
 def bm25_term_score(ix: Index, term: str, paragraph_id: str,
@@ -123,8 +163,8 @@ def bm25_term_score(ix: Index, term: str, paragraph_id: str,
     tf = ix.doc_tf[paragraph_id].get(term, 0)
     if tf == 0:
         return 0.0
-    length_norm = 1.0 - params.b + params.b * ix.doc_lengths[paragraph_id] / ix.avg_doc_len
-    return bm25_idf(ix, term) * tf * (params.k1 + 1.0) / (tf + params.k1 * length_norm)
+    return bm25_weight(bm25_idf(ix, term), tf,
+                       bm25_length_norm(ix, paragraph_id, params), params)
 
 
 def bm25_score(ix: Index, q: Sequence[str], paragraph_id: str,
@@ -150,10 +190,7 @@ def tfidf_vector(ix: Index, bag: Sequence[str] | Mapping[str, int]) -> SparseVec
             counts[t] = counts.get(t, 0) + 1
     entries: dict[str, float] = {}
     for t, tf in counts.items():
-        df = ix.doc_freq.get(t, 0)
-        if df == 0:
-            continue
-        idf = math.log(ix.n_docs / df)
+        idf = tfidf_idf(ix.doc_freq, ix.n_docs, t)
         if idf == 0.0:
             continue
         entries[t] = (1.0 + math.log(tf)) * idf
@@ -163,22 +200,37 @@ def tfidf_vector(ix: Index, bag: Sequence[str] | Mapping[str, int]) -> SparseVec
     return SparseVector(entries=entries)
 
 
-def lm_dirichlet_score(ix: Index, q: Sequence[str], paragraph_id: str,
-                       mu: float = 1500.0) -> float:
-    """Dirichlet-smoothed log P(q|d); terms with zero collection frequency are skipped."""
+def lm_dirichlet_scores(ix: Index, q: Sequence[str], paragraph_ids: Iterable[str],
+                        mu: float = 1500.0) -> dict[str, float]:
+    """Dirichlet-smoothed log P(q|d) of each paragraph in a pool.
+
+    Terms with zero collection frequency are skipped. Each term's
+    smoothing mass mu * cf / |C| is computed once for the whole pool.
+    """
     if mu <= 0:
         raise ValueError("mu must be > 0")
-    ix.require(paragraph_id)
-    doc = ix.doc_tf[paragraph_id]
-    doc_len = ix.doc_lengths[paragraph_id]
-    score = 0.0
+    smoothing: list[tuple[str, float]] = []
     for t in q:
         cf = ix.collection_tf.get(t, 0)
         if cf == 0:
             continue
-        score += math.log(
-            (doc.get(t, 0) + mu * cf / ix.collection_len) / (doc_len + mu))
-    return score
+        smoothing.append((t, mu * cf / ix.collection_len))
+    scores: dict[str, float] = {}
+    for pid in paragraph_ids:
+        ix.require(pid)
+        doc = ix.doc_tf[pid]
+        denominator = ix.doc_lengths[pid] + mu
+        score = 0.0
+        for t, mass in smoothing:
+            score += math.log((doc.get(t, 0) + mass) / denominator)
+        scores[pid] = score
+    return scores
+
+
+def lm_dirichlet_score(ix: Index, q: Sequence[str], paragraph_id: str,
+                       mu: float = 1500.0) -> float:
+    """Dirichlet-smoothed log P(q|d) of one paragraph."""
+    return lm_dirichlet_scores(ix, q, (paragraph_id,), mu)[paragraph_id]
 
 
 Scorer = Callable[[Sequence[str], str], float]

@@ -19,8 +19,9 @@ from .expansion import (ExpandedQuery, HeadingSupportIndex, entity_feedback_vect
                         expand_entities, expand_rm3, mix_vectors,
                         mixed_term_weights, rm1_entities, rm1_terms,
                         rocchio_expand, term_feedback_dense, term_feedback_vector)
-from .index import (Bm25Params, Index, Ranking, SparseVector, bm25_term_score,
-                    matching_paragraphs, rank_items, tfidf_vector)
+from .index import (Bm25Params, Index, Ranking, SparseVector, bm25_idf,
+                    bm25_length_norm, bm25_weight, matching_paragraphs,
+                    rank_items, tfidf_vector)
 from .semvec import (DenseVector, EmbeddingStore, EntityLinker, EntityStats,
                      LinkerError, cosine, entity_vector, text_vector)
 
@@ -81,8 +82,10 @@ class MethodParams:
 class MethodEngine:
     """Scores heading queries with one (method, expansion) combination.
 
-    Document representations are cached per paragraph, so reranking
-    thousands of queries over the same collection stays cheap.
+    Document representations are cached per paragraph, and each vector
+    keeps its norm, so reranking thousands of queries over the same
+    collection stays cheap. Per-query terms are computed once per query:
+    the mixed query vector and its norm, or each BM25 term's idf.
     """
 
     def __init__(self, ix: Index, texts: Mapping[str, str],
@@ -220,12 +223,17 @@ class MethodEngine:
         else:
             pool = self._match_pool(eq)
         if self.params.method == "bm25":
-            weights = mixed_term_weights(eq)
+            ix = self.ix
             bm = self.params.bm25_params()
+            terms = [(t, w, bm25_idf(ix, t))
+                     for t, w in mixed_term_weights(eq).items()]
 
             def score(pid: str) -> float:
-                return sum(w * bm25_term_score(self.ix, t, pid, bm)
-                           for t, w in weights.items())
+                doc = ix.doc_tf[pid]
+                # an empty paragraph matches no term, and avg_doc_len may be 0
+                length_norm = bm25_length_norm(ix, pid, bm) if doc else 0.0
+                return sum(w * bm25_weight(idf, doc.get(t, 0), length_norm, bm)
+                           for t, w, idf in terms)
         else:
             mixed = mix_vectors(self._query_vector(query),
                                 self._feedback_vector(eq), eq.interpolation)

@@ -10,17 +10,22 @@ case-insensitive), so the whole pipeline runs hermetically. Any other
 linker can be plugged in behind the same one-method interface; a
 remote implementation must raise LinkerUnavailableError on transport
 failure so callers can tell "no entities" from "no linker".
+
+cosine and normalized read each vector's kept norm, which the vector
+computes once, on first use: a cached paragraph vector's norm once per
+engine, a query's mixed vector's once per query.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .index import Index, SparseVector
+from .index import Index, SparseVector, tfidf_idf
 from .textproc import TOKEN_RE
 
 
@@ -55,8 +60,17 @@ class EmbeddingStore:
 
 @dataclass(frozen=True, eq=False)
 class DenseVector:
+    """Treat values as read-only: the norm is computed on first use and kept."""
+
     values: np.ndarray
     empty: bool = False  # True when nothing in the input was covered
+
+    @cached_property
+    def _norm(self) -> float:
+        return float(np.linalg.norm(self.values))
+
+    def norm(self) -> float:
+        return self._norm
 
 
 @dataclass(frozen=True)
@@ -127,10 +141,7 @@ def text_vector(bag: Sequence[str] | Mapping[str, int], store: EmbeddingStore,
         if vec is None:
             continue
         covered += tf
-        df = ix.doc_freq.get(token, 0)
-        if df == 0:
-            continue
-        idf = math.log(ix.n_docs / df)
+        idf = tfidf_idf(ix.doc_freq, ix.n_docs, token)
         if idf == 0.0:
             continue
         acc += tf * (1.0 + math.log(tf)) * idf * vec
@@ -258,10 +269,7 @@ def entity_vector(mentions: Sequence[EntityMention], store: EmbeddingStore,
         if vec is None:
             continue
         covered += 1
-        ldf = stats.link_doc_freq.get(mention.entity_id, 0)
-        if ldf == 0:
-            continue
-        idf = math.log(stats.n_docs / ldf)
+        idf = tfidf_idf(stats.link_doc_freq, stats.n_docs, mention.entity_id)
         if idf == 0.0:
             continue
         acc += (1.0 + math.log(mention.count)) * idf * vec
@@ -281,8 +289,7 @@ def cosine(a: DenseVector | SparseVector, b: DenseVector | SparseVector) -> floa
         if a.values.shape != b.values.shape:
             raise ValueError(
                 f"dimension mismatch: {a.values.shape} vs {b.values.shape}")
-        na = float(np.linalg.norm(a.values))
-        nb = float(np.linalg.norm(b.values))
+        na, nb = a.norm(), b.norm()
         if na == 0.0 or nb == 0.0:
             return 0.0
         return float(np.dot(a.values, b.values)) / (na * nb)
@@ -291,12 +298,11 @@ def cosine(a: DenseVector | SparseVector, b: DenseVector | SparseVector) -> floa
 
 def normalized(v: DenseVector | SparseVector) -> DenseVector | SparseVector | None:
     """Unit-length copy, or None for zero/empty vectors."""
+    n = v.norm()
     if isinstance(v, SparseVector):
-        n = v.norm()
         if n == 0.0:
             return None
         return SparseVector(entries={t: w / n for t, w in v.entries.items()})
-    n = float(np.linalg.norm(v.values))
     if v.empty or n == 0.0:
         return None
     return DenseVector(values=v.values / n, empty=False)

@@ -6,11 +6,15 @@ stemming). Anything exercising the real pipeline uses the defaults.
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from headingrank.corpus import Corpus, parse_corpus
-from headingrank.index import Index, build_index
+from headingrank.index import (Index, SparseVector, bm25_idf, build_index,
+                               matching_paragraphs, rank_items)
+from headingrank.semvec import DenseVector
 from headingrank.textproc import TokenPipelineConfig
 
 PLAIN_CFG = TokenPipelineConfig(stopwords=frozenset(), stem=False)
@@ -59,3 +63,65 @@ def two_page_corpus() -> Corpus:
             section("Flow", [("p6", "lakes drain through outlet rivers")]),
         ]),
     ])
+
+
+# --- reference scoring: one (query, paragraph) pair at a time --------------
+# The library computes per-query and per-vector invariants once (idf,
+# length norms, smoothing mass, vector norms). These references recompute
+# every one of them for every pair, in the same operand order, so tests
+# can require bitwise equality.
+
+def ref_bm25_term_score(ix, term, pid, params):
+    tf = ix.doc_tf[pid].get(term, 0)
+    if tf == 0:
+        return 0.0
+    length_norm = 1.0 - params.b + params.b * ix.doc_lengths[pid] / ix.avg_doc_len
+    return bm25_idf(ix, term) * tf * (params.k1 + 1.0) / (tf + params.k1 * length_norm)
+
+
+def ref_lm_dirichlet_score(ix, q, pid, mu):
+    doc = ix.doc_tf[pid]
+    doc_len = ix.doc_lengths[pid]
+    score = 0.0
+    for t in q:
+        cf = ix.collection_tf.get(t, 0)
+        if cf == 0:
+            continue
+        score += math.log(
+            (doc.get(t, 0) + mu * cf / ix.collection_len) / (doc_len + mu))
+    return score
+
+
+def ref_feedback_docs(ix, terms, fb_docs, mu):
+    pool = matching_paragraphs(ix, terms)
+    if not pool:
+        return []
+    scored = {pid: ref_lm_dirichlet_score(ix, terms, pid, mu) for pid in pool}
+    return list(rank_items("", scored, k=fb_docs).items)
+
+
+def ref_norm(v):
+    """A vector's norm computed afresh, never read from the vector."""
+    if isinstance(v, SparseVector):
+        return math.sqrt(sum(w * w for w in v.entries.values()))
+    return float(np.linalg.norm(v.values))
+
+
+def ref_cosine(a, b):
+    na, nb = ref_norm(a), ref_norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    if isinstance(a, SparseVector):
+        return a.dot(b) / (na * nb)
+    return float(np.dot(a.values, b.values)) / (na * nb)
+
+
+def ref_normalized(v):
+    n = ref_norm(v)
+    if isinstance(v, SparseVector):
+        if n == 0.0:
+            return None
+        return SparseVector(entries={t: w / n for t, w in v.entries.items()})
+    if v.empty or n == 0.0:
+        return None
+    return DenseVector(values=v.values / n, empty=False)

@@ -1,5 +1,9 @@
 """Exercises every subcommand through main(): files, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from headingrank.cli import main
@@ -38,6 +42,17 @@ def corpus_path(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def test_importing_cli_leaves_scipy_unloaded():
+    # only the t-test needs scipy; index, env and run never pay its import
+    code = ("import sys, headingrank.cli; "
+            "sys.exit(1 if any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules) else 0)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
 # --- argparse surface ---------------------------------------------------
@@ -197,6 +212,31 @@ def test_run_with_rocchio_over_saved_index(corpus_path, tmp_path):
                    "--method", "tfidf-cs", "--expansion", "rocchio",
                    "--ltr-folds", "2", "--out", out) == 0
     assert read_run(str(out)).rankings
+
+
+def test_run_rejects_index_of_another_corpus(tmp_path, capsys):
+    # corpus b holds a subset of corpus a's paragraph ids
+    ix = tmp_path / "ix-a.json"
+    run_cli("index", "--corpus", make_corpus_file(tmp_path), "--out", ix)
+    other = make_corpus_file(tmp_path, n_pages=3, name="b.jsonl")
+    out = tmp_path / "run.txt"
+    assert run_cli("run", "--corpus", other, "--index", ix, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "was not built from this corpus" in err
+    assert "12 paragraph ids only in the index, 0 only in the corpus" in err
+    assert not out.exists()
+
+
+def test_pipeline_rejects_index_of_another_corpus(tmp_path, capsys):
+    ix = tmp_path / "ix-b.json"
+    run_cli("index", "--corpus", make_corpus_file(tmp_path, n_pages=3,
+                                                  name="b.jsonl"), "--out", ix)
+    code = run_cli("pipeline", "--corpus", make_corpus_file(tmp_path),
+                   "--index", ix, "--out-dir", tmp_path / "out",
+                   "--ltr-folds", "2")
+    assert code == 2
+    assert "0 paragraph ids only in the index, 12 only in the corpus" \
+        in capsys.readouterr().err
 
 
 # --- eval / compare --------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from headingrank.expansion import (
     ExpandedQuery,
     WeightedEntity,
     WeightedTerm,
+    _feedback_docs,
     build_heading_support,
     entity_feedback_vector,
     expand_entities,
@@ -35,7 +37,8 @@ from headingrank.semvec import (
     normalized,
 )
 
-from conftest import corpus_from_pages, page, plain_index, section
+from conftest import (corpus_from_pages, page, plain_index, ref_feedback_docs,
+                      section)
 
 
 def hq(terms, page_id="pg", heading="H", qid="pg/H"):
@@ -94,6 +97,23 @@ def test_rm1_no_match_is_empty():
 def test_rm1_excludes_all_query_terms():
     ix = plain_index({"d1": "q r q r"})
     assert rm1_terms(ix, hq(["q", "r"]), fb_docs=1) == []
+
+
+def test_feedback_docs_match_per_pair_reference():
+    # the pool-level LM scorer must pick and score the same feedback docs
+    # as scoring every paragraph with its own smoothing arithmetic
+    rng = random.Random(99)
+    words = [f"w{i}" for i in range(10)]
+    for _ in range(60):
+        texts = {f"p{i:03d}": " ".join(rng.choices(words, k=rng.randint(0, 10)))
+                 for i in range(rng.randint(1, 30))}
+        ix = plain_index(texts)
+        for _ in range(4):
+            terms = tuple(rng.choices(words + ["zz"], k=rng.randint(1, 4)))
+            fb_docs = rng.randint(1, 8)
+            mu = rng.choice([0.5, 10.0, 1500.0, rng.uniform(1.0, 3000.0)])
+            assert _feedback_docs(ix, terms, fb_docs, mu) == \
+                ref_feedback_docs(ix, terms, fb_docs, mu)
 
 
 def test_rm1_validates_budgets():

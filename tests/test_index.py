@@ -6,6 +6,7 @@ collection counts) to the three-document fixture; they are pasted in,
 not computed here, so a regression in the scorers cannot hide.
 """
 
+import dataclasses
 import math
 import random
 
@@ -17,8 +18,10 @@ from headingrank.index import (
     SparseVector,
     bm25_idf,
     bm25_score,
+    bm25_term_score,
     build_index,
     lm_dirichlet_score,
+    lm_dirichlet_scores,
     load_index,
     matching_paragraphs,
     rank_items,
@@ -27,7 +30,8 @@ from headingrank.index import (
     tfidf_vector,
 )
 
-from conftest import PLAIN_CFG, plain_index
+from conftest import (PLAIN_CFG, plain_index, ref_bm25_term_score,
+                      ref_lm_dirichlet_score, ref_norm)
 
 THREE_DOCS = {"d1": "a b a c", "d2": "b c d", "d3": "a d d e"}
 
@@ -200,6 +204,56 @@ def test_retrieve_topk_matches_exhaustive_oracle():
             k = rng.randint(1, 20)
             got = retrieve_topk(ix, scorer, q, k).paragraph_ids()
             assert got == _oracle_topk(ix, texts, scorer, q, k)
+
+
+def test_pool_scorers_match_per_pair_reference():
+    # BM25 terms and the pool-level LM scorer, bitwise against references
+    # that recompute idf, length norm and smoothing mass for every pair.
+    rng = random.Random(1234)
+    words = [f"w{i}" for i in range(12)]
+    for trial in range(60):
+        texts = _random_corpus(rng, n_docs=rng.randint(1, 25), vocab=12)
+        if trial % 4 == 0:
+            texts["p9999"] = ""  # a paragraph with no tokens
+        ix = plain_index(texts)
+        params = Bm25Params(k1=rng.uniform(0.1, 3.0), b=rng.uniform(0.0, 1.0))
+        mu = rng.choice([0.5, 10.0, 1500.0, rng.uniform(1.0, 3000.0)])
+        pids = sorted(ix.doc_lengths)
+        for _ in range(4):
+            q = rng.choices(words + ["zz"], k=rng.randint(1, 5))
+            pool = rng.sample(pids, rng.randint(1, len(pids)))
+            got = lm_dirichlet_scores(ix, q, pool, mu)
+            assert list(got) == pool
+            for pid in pool:
+                want = ref_lm_dirichlet_score(ix, q, pid, mu)
+                assert got[pid] == want
+                assert lm_dirichlet_score(ix, q, pid, mu) == want
+                for t in q:
+                    assert bm25_term_score(ix, t, pid, params) == \
+                        ref_bm25_term_score(ix, t, pid, params)
+
+
+def test_lm_pool_scorer_validates(three_doc_index):
+    with pytest.raises(ValueError, match="mu must be > 0"):
+        lm_dirichlet_scores(three_doc_index, ["a"], ["d1"], mu=0.0)
+    with pytest.raises(KeyError):
+        lm_dirichlet_scores(three_doc_index, ["a"], ["d1", "ghost"])
+    assert lm_dirichlet_scores(three_doc_index, ["a"], []) == {}
+
+
+def test_sparse_vector_keeps_norm_outside_its_fields():
+    rng = random.Random(5)
+    for _ in range(50):
+        entries = {f"t{i}": rng.uniform(-3.0, 3.0) for i in range(rng.randint(0, 8))}
+        kept, fresh = SparseVector(dict(entries)), SparseVector(dict(entries))
+        assert kept.norm() == ref_norm(fresh)
+        assert kept.norm() == kept.norm()
+        # equality compares entries, whether or not one side kept its norm
+        assert kept == fresh and fresh == kept
+        fresh.norm()
+        assert kept == fresh
+    assert [f.name for f in dataclasses.fields(SparseVector)] == ["entries"]
+    assert SparseVector({"a": 1.0}) != SparseVector({"a": 2.0})
 
 
 def test_index_roundtrip_and_byte_stability(tmp_path, three_doc_index):

@@ -1,11 +1,14 @@
 """Scorer/expansion engine: validity matrix, resources, ranking modes."""
 
 import logging
+import random
 
+import numpy as np
 import pytest
 
+from headingrank import expansion
 from headingrank.corpus import HeadingQuery
-from headingrank.expansion import build_heading_support
+from headingrank.expansion import build_heading_support, mix_vectors, mixed_term_weights
 from headingrank.index import bm25_score, rank_items
 from headingrank.methods import (
     EXPANSIONS,
@@ -16,13 +19,15 @@ from headingrank.methods import (
     MethodParams,
 )
 from headingrank.semvec import (
+    EmbeddingStore,
     EntityStats,
     GazetteerLinker,
     build_entity_stats,
     load_embeddings,
 )
 
-from conftest import corpus_from_pages, page, plain_index, section
+from conftest import (corpus_from_pages, page, plain_index, ref_bm25_term_score,
+                      ref_cosine, ref_feedback_docs, ref_normalized, section)
 
 
 def hq(terms, page_id="pg", heading="H", qid=None):
@@ -265,3 +270,96 @@ def test_entity_query_with_no_linkable_text(ix, resources):
 def test_doc_vectors_cached(ix, resources):
     eng = engine(ix, resources, "tfidf-cs", "none")
     assert eng.doc_vector("d1") is eng.doc_vector("d1")
+
+
+# --- bitwise agreement with per-pair reference scoring ------------------------
+
+GRID = [("bm25", "none"), ("bm25", "rm1"),
+        ("tfidf-cs", "none"), ("tfidf-cs", "rm1"), ("tfidf-cs", "rocchio"),
+        ("glove-cs", "none"), ("glove-cs", "rm1"),
+        ("entity-cs", "none"), ("entity-cs", "ent-rm1")]
+
+
+def _random_collection(rng):
+    """Pages sharing headings, vectors for most words and entities, a linker."""
+    words = [f"w{i}" for i in range(10)]
+    pages, n = [], 0
+    for pi in range(rng.randint(2, 4)):
+        secs = []
+        for heading in rng.sample(["Intro", "History", "Flow"], rng.randint(1, 3)):
+            paras = []
+            for _ in range(rng.randint(1, 3)):
+                paras.append((f"d{n:03d}", " ".join(rng.choices(words, k=rng.randint(1, 8)))))
+                n += 1
+            secs.append(section(heading, paras))
+        pages.append(page(f"pg{pi}", f"T{pi}", secs))
+    corpus = corpus_from_pages(pages)
+    texts = {pid: p.text for pid, p in corpus.paragraphs.items()}
+    if rng.random() < 0.3:
+        texts["d999"] = ""  # indexed with no tokens
+    linker = GazetteerLinker({w: f"E_{w}" for w in words[:6]})
+    keys = [w for w in words if rng.random() < 0.8]
+    keys += [f"E_{w}" for w in words[:6] if rng.random() < 0.8]
+    store = EmbeddingStore(dim=3, table={k: np.array([rng.uniform(-1.0, 1.0)
+                                                      for _ in range(3)])
+                                         for k in keys})
+    resources = (store, linker, build_entity_stats(texts, linker))
+    return corpus, texts, plain_index(texts), resources, words
+
+
+def _reference_ranking(eng, query, k, candidates, monkeypatch):
+    """eng.rank, but every norm, idf, length norm and smoothing mass fresh per pair."""
+    with monkeypatch.context() as m:
+        m.setattr(expansion, "_feedback_docs", ref_feedback_docs)
+        m.setattr(expansion, "normalized", ref_normalized)
+        eq = eng.expand(query)
+        pool = eng._match_pool(eq) if candidates is None else candidates
+        if eng.params.method == "bm25":
+            weights = mixed_term_weights(eq)
+            bm = eng.params.bm25_params()
+            scored = {pid: sum(w * ref_bm25_term_score(eng.ix, t, pid, bm)
+                               for t, w in weights.items()) for pid in pool}
+        else:
+            mixed = mix_vectors(eng._query_vector(query), eng._feedback_vector(eq),
+                                eq.interpolation)
+            scored = {pid: ref_cosine(mixed, eng.doc_vector(pid)) for pid in pool}
+    return rank_items(query.query_id, scored, k if candidates is None else None)
+
+
+def test_engine_scores_match_per_pair_reference(monkeypatch):
+    rng = random.Random(2024)
+    for _ in range(50):
+        corpus, texts, ix, resources, words = _random_collection(rng)
+        support = build_heading_support(corpus)
+        pids = sorted(ix.doc_lengths)
+        queries = [hq(rng.choices(words + ["zz"], k=rng.randint(1, 3)),
+                      page_id=rng.choice([p.id for p in corpus.pages]),
+                      heading=rng.choice(["Intro", "History", "Flow"]), qid=f"q{i}")
+                   for i in range(3)]
+        for method, exp in GRID:
+            store, linker, stats = resources
+            params = MethodParams(
+                method=method, expansion=exp, lam=rng.choice([0.3, 0.5, 1.0]),
+                k1=rng.uniform(0.5, 2.0), b=rng.uniform(0.0, 1.0),
+                mu=rng.choice([10.0, 1500.0]), fb_docs=rng.randint(1, 4),
+                fb_terms=rng.randint(1, 5), fb_entities=rng.randint(1, 5),
+                rocchio_passages=rng.randint(1, 3))
+            eng = MethodEngine(ix, texts, params, embeddings=store, linker=linker,
+                               entity_stats=stats, support=support)
+            for q in queries:
+                full = eng.rank(q, k=len(pids))
+                assert full.items == \
+                    _reference_ranking(eng, q, len(pids), None, monkeypatch).items
+                cands = rng.sample(pids, rng.randint(1, len(pids)))
+                got = eng.rank(q, candidates=cands)
+                assert got.items == \
+                    _reference_ranking(eng, q, None, cands, monkeypatch).items
+
+
+def test_bm25_candidates_over_tokenless_collection_score_zero(resources):
+    # every paragraph is empty, so the average length is 0 and no
+    # length norm may be computed
+    ix = plain_index({"a": "", "b": ""})
+    eng = MethodEngine(ix, {"a": "", "b": ""}, MethodParams(method="bm25"))
+    assert eng.rank(hq(["alpha"]), candidates=["b", "a"]).items == \
+        (("a", 0.0), ("b", 0.0))

@@ -1,5 +1,6 @@
 """Embeddings, dense text/entity vectors, gazetteer linking, cosine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from headingrank.semvec import (
     write_entity_stats,
 )
 
-from conftest import plain_index
+from conftest import plain_index, ref_norm
 
 
 def store_of(**vecs):
@@ -310,6 +311,21 @@ def test_normalized():
     u = normalized(SparseVector({"a": 3.0, "b": 4.0}))
     assert u.entries["a"] == pytest.approx(0.6)
     assert normalized(SparseVector({})) is None
+
+
+def test_dense_vector_keeps_norm_outside_its_fields():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        values = rng.normal(size=int(rng.integers(1, 6)))
+        kept = DenseVector(values=values)
+        assert kept.norm() == ref_norm(DenseVector(values=values.copy()))
+        assert kept.norm() == kept.norm()
+    assert [f.name for f in dataclasses.fields(DenseVector)] == ["values", "empty"]
+    # equality stays identity (eq=False), before and after the norm is kept
+    a, b = DenseVector(values=np.ones(2)), DenseVector(values=np.ones(2))
+    assert a == a and a != b
+    a.norm()
+    assert a == a and a != b
 
 
 vec3 = st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=3)
