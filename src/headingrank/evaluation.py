@@ -173,8 +173,9 @@ def write_run(run: RunFile, path: str) -> None:
     """TREC run format, LF endings, scores with 6 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid in sorted(run.rankings):
-            for rank, (pid, score) in enumerate(run.rankings[qid].items, start=1):
-                fh.write(f"{qid} Q0 {pid} {rank} {score:.6g} {run.name}\n")
+            fh.write("".join([
+                f"{qid} Q0 {pid} {rank} {score:.6g} {run.name}\n"
+                for rank, (pid, score) in enumerate(run.rankings[qid].items, start=1)]))
 
 
 def read_run(path: str) -> RunFile:

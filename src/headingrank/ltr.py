@@ -12,6 +12,7 @@ and seeded starting points.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -276,6 +277,22 @@ class FoldReport:
     train_map: float
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, as the platform reports them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _train_fold(table: Mapping[str, Sequence[FeatureVector]], qrels: Qrels,
+                feature_names: Sequence[str],
+                cfg: CaConfig) -> tuple[LinearModel, float]:
+    """One fold's model, trained on its training table, and its training MAP."""
+    model = train_coordinate_ascent(table, qrels, feature_names, cfg)
+    return model, training_map(model, table, qrels)
+
+
 def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
                    qrels: Qrels,
                    feature_names: Sequence[str],
@@ -287,6 +304,13 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
     near-equal folds; each fold is scored by a model trained on the
     other folds only, so no query is ever scored by a model that saw
     its labels. The merged run covers every query exactly once.
+
+    Folds train in up to min(k, usable CPUs) forked worker processes,
+    one fold per task, and are merged here in fold order. A fold's
+    arithmetic is the same in any process, so every model, MAP and
+    ranking is independent of the CPU count. With one usable CPU, or
+    where the platform cannot fork, the folds train in this process.
+    A worker that dies raises BrokenProcessPool.
     """
     qids = sorted(table)
     if k < 2:
@@ -302,24 +326,39 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
         size = base + (1 if f < extra else 0)
         folds.append(order[pos:pos + size])
         pos += size
+    train_queries = [sorted(q for g, fold in enumerate(folds) if g != f
+                            for q in fold) for f in range(k)]
+    fold_args = ([{q: table[q] for q in train_queries[f]} for f in range(k)],
+                 [qrels] * k, [feature_names] * k,
+                 [replace(cfg, seed=derive_seed(cfg.seed, "fold", f))
+                  for f in range(k)])
+    # imported here so that importing the CLI does not pay for them
+    import concurrent.futures
+    import multiprocessing
+    workers = min(k, _usable_cpus())
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # fork: workers start from this process's memory, with no new
+        # interpreter or imports, and all fork before the executor starts
+        # its own thread
+        pool = concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            trained = list(pool.map(_train_fold, *fold_args))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        trained = list(map(_train_fold, *fold_args))
     merged: dict[str, Ranking] = {}
     reports: list[FoldReport] = []
-    for f in range(k):
+    for f, (model, fold_train_map) in enumerate(trained):
         test_queries = sorted(folds[f])
-        train_queries = sorted(q for g, fold in enumerate(folds) if g != f
-                               for q in fold)
-        fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", f))
-        model = train_coordinate_ascent(
-            {q: table[q] for q in train_queries}, qrels, feature_names, fold_cfg)
-        fold_train_map = training_map(
-            model, {q: table[q] for q in train_queries}, qrels)
         for qid in test_queries:
             scored = {fv.paragraph_id: model.score(fv.features)
                       for fv in table[qid]}
             merged[qid] = rank_items(qid, scored)
         reports.append(FoldReport(
             fold=f,
-            train_queries=tuple(train_queries),
+            train_queries=tuple(train_queries[f]),
             test_queries=tuple(test_queries),
             model=model,
             train_map=fold_train_map,

@@ -7,6 +7,10 @@ stemming). Anything exercising the real pipeline uses the defaults.
 
 import json
 import math
+import multiprocessing
+import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -125,3 +129,33 @@ def ref_normalized(v):
     if v.empty or n == 0.0:
         return None
     return DenseVector(values=v.values / n, empty=False)
+
+
+# --- fold worker processes ------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="folds train in worker processes only where the platform can fork")
+
+_TEST_PID = os.getpid()
+
+
+def exit_in_worker(*args):
+    """Stand-in for ltr._train_fold: the worker process running it dies."""
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("the fold task ran in the test process")
+    os._exit(3)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError inside the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

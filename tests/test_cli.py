@@ -6,12 +6,14 @@ import sys
 
 import pytest
 
+from headingrank import ltr
 from headingrank.cli import main
 from headingrank.corpus import derive_qrels, load_corpus, write_corpus
 from headingrank.envgen import read_candidates
 from headingrank.evaluation import read_run
 
-from conftest import corpus_from_pages, page, section
+from conftest import (corpus_from_pages, exit_in_worker, needs_fork, page,
+                      section, time_limit)
 
 TOPICS = ("history", "climate", "economy", "wildlife", "culture", "geology")
 
@@ -44,15 +46,17 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def test_importing_cli_leaves_scipy_unloaded():
-    # only the t-test needs scipy; index, env and run never pay its import
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent.futures"])
+def test_importing_cli_leaves_module_unloaded(module):
+    # only the t-test needs scipy, and only cross-validation starts fold
+    # workers; index, env and run never pay these imports
     code = ("import sys, headingrank.cli; "
-            "sys.exit(1 if any(m == 'scipy' or m.startswith('scipy.') "
+            f"sys.exit(1 if any(m == {module!r} or m.startswith({module + '.'!r}) "
             "for m in sys.modules) else 0)")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
                           capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr or "scipy was imported"
+    assert proc.returncode == 0, proc.stderr or f"{module} was imported"
 
 
 # --- argparse surface ---------------------------------------------------
@@ -340,6 +344,19 @@ def test_pipeline_same_seed_is_byte_identical(corpus_path, tmp_path):
     for name in ("run-fused.txt", "metrics-fused.txt", "folds.txt",
                  "significance.txt", "candidates.tsv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+@needs_fork
+def test_pipeline_dead_fold_worker_exits_1(corpus_path, tmp_path, monkeypatch,
+                                          capsys):
+    # a worker that dies is an internal fault, not a usage error or a hang
+    monkeypatch.setattr(ltr, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ltr, "_train_fold", exit_in_worker)
+    with time_limit(60):
+        code = run_cli("pipeline", "--corpus", corpus_path,
+                       "--out-dir", tmp_path / "exp", *PIPELINE_ARGS)
+    assert code == 1
+    assert "BrokenProcessPool" in capsys.readouterr().err
 
 
 def test_pipeline_ablation_writes_extra_run(corpus_path, tmp_path, capsys):

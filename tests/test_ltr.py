@@ -2,11 +2,13 @@
 
 import math
 import random
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from headingrank import ltr
 from headingrank.corpus import Qrels
 from headingrank.evaluation import RunFile, average_precision
 from headingrank.index import Ranking, rank_items
@@ -24,6 +26,8 @@ from headingrank.ltr import (
     _candidate_values,
     _PackedQueries,
 )
+
+from conftest import exit_in_worker, needs_fork, time_limit
 
 
 # --- feature assembly -----------------------------------------------------
@@ -437,6 +441,55 @@ def test_cross_validate_validates_k():
         cross_validate(table, qrels, ("t", "n"), k=1)
     with pytest.raises(ValueError):
         cross_validate(table, qrels, ("t", "n"), k=5)
+
+
+def _cross_validate_both_ways(monkeypatch, *args, **kwargs):
+    """cross_validate's result, or its ValueError as (type, message), with
+    one fold worker per fold and then in this process (one usable CPU)."""
+    outcomes = []
+    for cpus in (8, 1):
+        monkeypatch.setattr(ltr, "_usable_cpus", lambda n=cpus: n)
+        try:
+            outcomes.append(cross_validate(*args, **kwargs))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@needs_fork
+def test_fold_workers_match_in_process_folds(monkeypatch):
+    rng = random.Random(31)
+    names = ("f0", "f1", "f2")
+    for k in range(2, 7):
+        for _ in range(2):
+            table, qrels = _random_table(rng, nq=rng.randint(k, 3 * k),
+                                         quantize=rng.random() < 0.5)
+            cfg = CaConfig(seed=rng.randrange(1000), restarts=2, iterations=6)
+            (merged_p, reports_p), (merged_s, reports_s) = \
+                _cross_validate_both_ways(monkeypatch, table, qrels, names,
+                                          k=k, cfg=cfg)
+            assert merged_p == merged_s
+            assert len(reports_p) == k
+            assert reports_p == reports_s  # fold, queries, weights, train_map
+    # Only q0 has a positive, so the fold that tests q0 has none to train
+    # on: the same ValueError either way, which the CLI turns into exit 2.
+    table, qrels = _separable_table(nq=4)
+    only_q0 = Qrels(positives={"q0": qrels.relevant("q0")})
+    pooled, in_process = _cross_validate_both_ways(
+        monkeypatch, table, only_q0, ("t", "n"), k=2,
+        cfg=CaConfig(restarts=1, iterations=2))
+    assert pooled == in_process == (ValueError,
+                                    "no training query has a relevant paragraph")
+
+
+@needs_fork
+def test_dead_fold_worker_raises_broken_pool(monkeypatch):
+    table, qrels = _separable_table(nq=6)
+    monkeypatch.setattr(ltr, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ltr, "_train_fold", exit_in_worker)
+    with time_limit(30), pytest.raises(BrokenProcessPool):
+        cross_validate(table, qrels, ("t", "n"), k=3,
+                       cfg=CaConfig(restarts=1, iterations=2))
 
 
 # --- external runs and model files -------------------------------------------
