@@ -173,9 +173,8 @@ def write_run(run: RunFile, path: str) -> None:
     """TREC run format, LF endings, scores with 6 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid in sorted(run.rankings):
-            fh.write("".join([
-                f"{qid} Q0 {pid} {rank} {score:.6g} {run.name}\n"
-                for rank, (pid, score) in enumerate(run.rankings[qid].items, start=1)]))
+            for rank, (pid, score) in enumerate(run.rankings[qid].items, start=1):
+                fh.write(f"{qid} Q0 {pid} {rank} {score:.6g} {run.name}\n")
 
 
 def read_run(path: str) -> RunFile:

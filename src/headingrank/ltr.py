@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -293,6 +294,30 @@ def _train_fold(table: Mapping[str, Sequence[FeatureVector]], qrels: Qrels,
     return model, training_map(model, table, qrels)
 
 
+# What a fold task calls, as this module defines it; see _fold_workers.
+_FOLD_CODE = (train_coordinate_ascent, training_map, _PackedQueries.mean_ap)
+
+
+def _fold_workers(k: int) -> int:
+    """Worker processes to train k folds in; 1 trains them in this process.
+
+    Workers are forked only on Linux, where fork is the default start
+    method (on macOS a fork after system frameworks have started can
+    crash), and only with Python 3.11 or later, where ProcessPoolExecutor
+    forks every worker before it starts its manager thread; before 3.11
+    it forks each one on demand while that thread runs, which can
+    deadlock the child. Folds also train here when
+    something has wrapped a function a fold task calls since import (a
+    tracer, a call counter): the wrapper keeps its records in this
+    process, and a worker's copy of them would die with the worker.
+    """
+    if not sys.platform.startswith("linux") or sys.version_info < (3, 11):
+        return 1
+    if (train_coordinate_ascent, training_map, _PackedQueries.mean_ap) != _FOLD_CODE:
+        return 1
+    return min(k, _usable_cpus())
+
+
 def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
                    qrels: Qrels,
                    feature_names: Sequence[str],
@@ -308,9 +333,10 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
     Folds train in up to min(k, usable CPUs) forked worker processes,
     one fold per task, and are merged here in fold order. A fold's
     arithmetic is the same in any process, so every model, MAP and
-    ranking is independent of the CPU count. With one usable CPU, or
-    where the platform cannot fork, the folds train in this process.
-    A worker that dies raises BrokenProcessPool.
+    ranking is independent of the CPU count. With one usable CPU, off
+    Linux, before Python 3.11, or while a fold task's code is wrapped
+    (see _fold_workers), the folds train in this process. A worker that
+    dies raises BrokenProcessPool.
     """
     qids = sorted(table)
     if k < 2:
@@ -332,14 +358,13 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
                  [qrels] * k, [feature_names] * k,
                  [replace(cfg, seed=derive_seed(cfg.seed, "fold", f))
                   for f in range(k)])
-    # imported here so that importing the CLI does not pay for them
-    import concurrent.futures
-    import multiprocessing
-    workers = min(k, _usable_cpus())
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    workers = _fold_workers(k)
+    if workers > 1:
+        # imported here so that importing the CLI does not pay for them
+        import concurrent.futures
+        import multiprocessing
         # fork: workers start from this process's memory, with no new
-        # interpreter or imports, and all fork before the executor starts
-        # its own thread
+        # interpreter or imports
         pool = concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"))
         try:

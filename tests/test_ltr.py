@@ -1,7 +1,9 @@
 """Feature assembly, packed MAP evaluation, coordinate ascent, CV folds."""
 
 import math
+import os
 import random
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -490,6 +492,42 @@ def test_dead_fold_worker_raises_broken_pool(monkeypatch):
     with time_limit(30), pytest.raises(BrokenProcessPool):
         cross_validate(table, qrels, ("t", "n"), k=3,
                        cfg=CaConfig(restarts=1, iterations=2))
+
+
+
+def test_folds_fork_only_on_linux_from_python_3_11(monkeypatch):
+    # before 3.11 the executor forks workers while its manager thread runs
+    monkeypatch.setattr(ltr, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(sys, "version_info", (3, 11, 0))
+    assert ltr._fold_workers(5) == 5
+    assert ltr._fold_workers(12) == 8
+    monkeypatch.setattr(sys, "version_info", (3, 10, 14))
+    assert ltr._fold_workers(5) == 1
+    monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert ltr._fold_workers(5) == 1
+
+@needs_fork
+@pytest.mark.parametrize("owner, name", [(ltr, "train_coordinate_ascent"),
+                                         (ltr, "training_map"),
+                                         (_PackedQueries, "mean_ap")])
+def test_wrapped_fold_code_trains_in_this_process(monkeypatch, owner, name):
+    # a wrapper (a tracer, a call counter) keeps its records in this
+    # process, so a forked worker must not be the one that calls it
+    table, qrels = _separable_table(nq=6)
+    cfg = CaConfig(restarts=1, iterations=2)
+    monkeypatch.setattr(ltr, "_usable_cpus", lambda: 8)
+    pooled = cross_validate(table, qrels, ("t", "n"), k=3, cfg=cfg)
+    original, pids = getattr(owner, name), []
+
+    def counting(*args, **kwargs):
+        pids.append(os.getpid())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    assert cross_validate(table, qrels, ("t", "n"), k=3, cfg=cfg) == pooled
+    assert pids and set(pids) == {os.getpid()}
 
 
 # --- external runs and model files -------------------------------------------
