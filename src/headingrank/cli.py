@@ -13,7 +13,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .corpus import (Corpus, CorpusError, FoldAssignment, HeadingQuery,
@@ -135,16 +135,16 @@ def _rank_queries(engine: MethodEngine, queries: Sequence[HeadingQuery],
     return rankings
 
 
-def _validate_candidates(sets: Mapping[str, CandidateSet], ix: Index,
-                         known_queries: set[str]) -> None:
-    for qid, cs in sets.items():
+def _validate_candidates(pools: Mapping[str, Iterable[str]], ix: Index,
+                         known_queries: set[str], source: str) -> None:
+    for qid, pids in pools.items():
         if qid not in known_queries:
             raise CliInputError(
-                f"candidate query {qid!r} does not belong to this corpus")
-        for pid in cs.paragraph_ids:
+                f"query {qid!r} in {source} does not belong to this corpus")
+        for pid in pids:
             if pid not in ix:
                 raise CliInputError(
-                    f"candidate paragraph {pid!r} is not in the index")
+                    f"paragraph {pid!r} in {source} is not in the index")
 
 
 def _texts(corpus: Corpus) -> dict[str, str]:
@@ -204,16 +204,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     queries = all_queries(corpus, cfg)
     params = _method_params(args, args.method, args.expansion)
     res = _Resources(args, texts)
-    folds = None
-    if params.expansion == "rocchio":
-        folds = assign_folds(corpus, args.ltr_folds, args.seed)
+    folds = (assign_folds(corpus, args.ltr_folds, args.seed)
+             if params.expansion == "rocchio" else None)
     engine, supports = _build_engine(params, ix, texts, res, corpus, folds)
 
     candidates = None
     skipped = 0
     if args.candidates:
         candidates = read_candidates(args.candidates)
-        _validate_candidates(candidates, ix, {q.query_id for q in queries})
+        _validate_candidates({q: cs.paragraph_ids for q, cs in candidates.items()},
+                             ix, {q.query_id for q in queries}, args.candidates)
         before = len(queries)
         queries = [q for q in queries if q.query_id in candidates]
         skipped = before - len(queries)
@@ -264,8 +264,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_scorers(args: argparse.Namespace) -> list[tuple[str, str, str]]:
-    """(feature name, method, expansion) triples from --scorers."""
+def _parse_scorers(args: argparse.Namespace) -> list[tuple[str, MethodParams]]:
+    """(feature name, method parameters) pairs from --scorers."""
     if args.scorers:
         specs = [s.strip() for s in args.scorers.split(",") if s.strip()]
     else:
@@ -274,11 +274,12 @@ def _parse_scorers(args: argparse.Namespace) -> list[tuple[str, str, str]]:
             specs.append("glove-cs")
         if args.embeddings and args.gazetteer:
             specs.append("entity-cs")
-    out: list[tuple[str, str, str]] = []
+    out: list[tuple[str, MethodParams]] = []
     for spec in specs:
         method, _, expansion = spec.partition("+")
-        out.append((spec, method.strip(), expansion.strip() or "none"))
-    names = [n for n, _, _ in out]
+        out.append((spec, _method_params(args, method.strip(),
+                                         expansion.strip() or "none")))
+    names = [n for n, _ in out]
     if len(set(names)) != len(names):
         raise CliInputError("duplicate scorer in --scorers")
     return out
@@ -302,25 +303,43 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = load_corpus(args.corpus)
+    # every parameter and input is checked before the first file is written
+    folds = assign_folds(corpus, args.ltr_folds, args.seed)
+    ca_cfg = CaConfig(seed=derive_seed(args.seed, "ltr"),
+                      restarts=args.restarts, iterations=args.iterations)
+    scorers = _parse_scorers(args)
     texts = _texts(corpus)
     cfg = _token_config(args)
     ix = _corpus_index(args, texts, cfg)
     queries = sorted(all_queries(corpus, cfg), key=lambda q: q.query_id)
+    feature_names = [name for name, _ in scorers]
+    external = None
+    if args.external_scores:
+        external = read_run(args.external_scores)
+        if external.name in feature_names:
+            raise CliInputError(
+                f"external run name {external.name!r} collides with a scorer")
+        _validate_candidates(
+            {q: r.paragraph_ids() for q, r in external.rankings.items()},
+            ix, {q.query_id for q in queries}, args.external_scores)
+        feature_names.append(external.name)
+    if args.without:
+        if args.without not in feature_names:
+            raise CliInputError(
+                f"--without {args.without!r} is not one of {feature_names}")
+        if len(feature_names) < 2:
+            raise CliInputError("cannot ablate the only feature")
+
     qrels = derive_qrels(corpus)
     write_qrels(qrels, str(out_dir / "qrels.txt"))
 
     candidates = generate_candidates(ix, queries, k=args.candidate_k)
     write_candidates(candidates, str(out_dir / "candidates.tsv"))
 
-    scorers = _parse_scorers(args)
     res = _Resources(args, texts)
-    need_rocchio = any(exp == "rocchio" for _, _, exp in scorers)
-    folds = assign_folds(corpus, args.ltr_folds, args.seed) if need_rocchio else None
-
     runs: list[RunFile] = []
     reports_by_name: dict[str, object] = {}
-    for name, method, expansion in scorers:
-        params = _method_params(args, method, expansion)
+    for name, params in scorers:
         engine, supports = _build_engine(params, ix, texts, res, corpus, folds)
         rankings = _rank_queries(engine, queries, candidates, args.candidate_k,
                                  folds, supports)
@@ -330,20 +349,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         report = evaluate_run(run, qrels)
         reports_by_name[name] = report
         write_metrics(report, str(out_dir / f"metrics-{_safe(name)}.txt"))
-
-    if args.external_scores:
-        external = read_run(args.external_scores)
-        if external.name in [r.name for r in runs]:
-            raise CliInputError(
-                f"external run name {external.name!r} collides with a scorer")
+    if external is not None:
         runs.append(external)
 
-    feature_names = [r.name for r in runs]
     table = assemble_feature_table(runs)
-    ca_cfg = CaConfig(seed=derive_seed(args.seed, "ltr"),
-                      restarts=args.restarts, iterations=args.iterations)
     merged, fold_reports = cross_validate(table, qrels, feature_names,
-                                          k=args.ltr_folds, cfg=ca_cfg)
+                                          k=args.ltr_folds, cfg=ca_cfg,
+                                          folds=folds)
     fused = RunFile(name="fused", rankings=merged)
     write_run(fused, str(out_dir / "run-fused.txt"))
     fused_report = evaluate_run(fused, qrels)
@@ -359,7 +371,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     fused_ap = {q: v[0] for q, v in fused_report.per_query.items()}
     sig_lines = ["baseline\tmap\tfused-map\tmean-diff\tt\tp\tfused-worse"]
-    for name, _, _ in scorers:
+    for name, _ in scorers:
         report = reports_by_name[name]
         ap = {q: v[0] for q, v in report.per_query.items()}
         result = paired_t_test(fused_ap, ap, alpha=args.alpha)
@@ -371,18 +383,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with open(out_dir / "significance.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(sig_lines) + "\n")
 
-    summary = [f"{name}\tMAP {reports_by_name[name].map:.6f}" for name, _, _ in scorers]
+    summary = [f"{name}\tMAP {reports_by_name[name].map:.6f}" for name, _ in scorers]
     summary.append(f"fused\tMAP {fused_report.map:.6f}")
 
     if args.without:
-        if args.without not in feature_names:
-            raise CliInputError(
-                f"--without {args.without!r} is not one of {feature_names}")
-        if len(feature_names) < 2:
-            raise CliInputError("cannot ablate the only feature")
         ab_table, ab_names = _drop_feature(table, feature_names, args.without)
         ab_merged, _ = cross_validate(ab_table, qrels, ab_names,
-                                      k=args.ltr_folds, cfg=ca_cfg)
+                                      k=args.ltr_folds, cfg=ca_cfg, folds=folds)
         ab_run = RunFile(name=f"fused-wo-{args.without}", rankings=ab_merged)
         tag = _safe(args.without)
         write_run(ab_run, str(out_dir / f"run-fused-wo-{tag}.txt"))

@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
-from urllib.parse import quote
+from urllib.parse import quote, unquote
 
 from .textproc import TokenPipelineConfig, DEFAULT_CONFIG, tokenize
 
@@ -99,6 +99,8 @@ class FoldAssignment:
     mapping: dict[str, int]  # pageId -> fold in [0, k)
 
     def fold_of(self, page_id: str) -> int:
+        if page_id not in self.mapping:
+            raise ValueError(f"page {page_id!r} missing from fold assignment")
         return self.mapping[page_id]
 
 
@@ -122,6 +124,11 @@ def section_query_id(page: Page, section: Section) -> str:
     parts = [quote(page.id, safe="")]
     parts.extend(quote(h, safe="") for h in (*section.path, section.heading))
     return "/".join(parts)
+
+
+def query_page(query_id: str) -> str:
+    """The page id in a section_query_id; an id without '/' is its own page."""
+    return unquote(query_id.split("/", 1)[0])
 
 
 def _parse_section(node: object, path: tuple[str, ...], line_no: int,
@@ -278,25 +285,24 @@ def derive_qrels(corpus: Corpus) -> Qrels:
     return Qrels(positives=positives)
 
 
-def assign_folds(corpus: Corpus, k: int, seed: int) -> FoldAssignment:
-    """Balanced seeded partition of pages; fold sizes differ by at most 1."""
+def balanced_folds(ids: Iterable[str], k: int, seed: int) -> FoldAssignment:
+    """Seeded partition of distinct ids into k folds whose sizes differ by at most 1."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    ids = sorted(p.id for p in corpus.pages)
-    if k > len(ids):
-        raise ValueError(f"k={k} exceeds page count {len(ids)}")
-    rng = random.Random(seed)
-    rng.shuffle(ids)
-    n = len(ids)
-    base, extra = divmod(n, k)
-    mapping: dict[str, int] = {}
-    pos = 0
-    for fold in range(k):
-        size = base + (1 if fold < extra else 0)
-        for pid in ids[pos:pos + size]:
-            mapping[pid] = fold
-        pos += size
-    return FoldAssignment(k=k, mapping=mapping)
+    order = sorted(set(ids))
+    if k > len(order):
+        raise ValueError(f"k={k} exceeds page count {len(order)}")
+    random.Random(seed).shuffle(order)
+    base, extra = divmod(len(order), k)
+    # fold f takes the next base ids, and one more while f < extra
+    labels = [f for f in range(k) for _ in range(base + (f < extra))]
+    return FoldAssignment(k=k, mapping=dict(zip(order, labels)))
+
+
+def assign_folds(corpus: Corpus, k: int, seed: int) -> FoldAssignment:
+    """Balanced seeded partition of pages: the folds that Rocchio support
+    holds out and that cross-validation tests each page's queries in."""
+    return balanced_folds((p.id for p in corpus.pages), k, seed)
 
 
 def write_qrels(qrels: Qrels, path: str) -> None:

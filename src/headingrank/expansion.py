@@ -199,11 +199,8 @@ def build_heading_support(corpus: Corpus, folds: FoldAssignment | None = None,
         raise ValueError("held_out requires a fold assignment")
     entries: dict[str, list[tuple[str, str]]] = {}
     for page in corpus.pages:
-        if folds is not None:
-            if page.id not in folds.mapping:
-                raise ValueError(f"page {page.id!r} missing from fold assignment")
-            if folds.mapping[page.id] == held_out:
-                continue
+        if folds is not None and folds.fold_of(page.id) == held_out:
+            continue
         for section in iter_sections(page):
             key = heading_key(section.heading)
             if not key:

@@ -227,12 +227,6 @@ def lm_dirichlet_scores(ix: Index, q: Sequence[str], paragraph_ids: Iterable[str
     return scores
 
 
-def lm_dirichlet_score(ix: Index, q: Sequence[str], paragraph_id: str,
-                       mu: float = 1500.0) -> float:
-    """Dirichlet-smoothed log P(q|d) of one paragraph."""
-    return lm_dirichlet_scores(ix, q, (paragraph_id,), mu)[paragraph_id]
-
-
 Scorer = Callable[[Sequence[str], str], float]
 
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import os
-import random
 import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Qrels
+from .corpus import FoldAssignment, Qrels, balanced_folds, query_page
 from .evaluation import RunFile
 from .index import Ranking, rank_items
 from .utils import derive_seed
@@ -322,13 +321,17 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
                    qrels: Qrels,
                    feature_names: Sequence[str],
                    k: int = 5,
-                   cfg: CaConfig = CaConfig()) -> tuple[dict[str, Ranking], list[FoldReport]]:
-    """k-fold cross-validation over queries.
+                   cfg: CaConfig = CaConfig(),
+                   folds: FoldAssignment | None = None,
+                   ) -> tuple[dict[str, Ranking], list[FoldReport]]:
+    """k-fold cross-validation over pages.
 
-    Queries are shuffled once under the config seed and split into k
-    near-equal folds; each fold is scored by a model trained on the
-    other folds only, so no query is ever scored by a model that saw
-    its labels. The merged run covers every query exactly once.
+    Each query is tested in its page's fold (corpus.query_page) by a
+    model trained on the other folds only, so no query is scored by a
+    model that saw its labels or its page's other headings. The merged
+    run covers every query exactly once. folds, if given, must have k
+    folds and cover every query's page; by default the table's own
+    pages are split by corpus.balanced_folds under the config seed.
 
     Folds train in up to min(k, usable CPUs) forked worker processes,
     one fold per task, and are merged here in fold order. A fold's
@@ -339,21 +342,14 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
     dies raises BrokenProcessPool.
     """
     qids = sorted(table)
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > len(qids):
-        raise ValueError(f"cannot split {len(qids)} queries into {k} folds")
-    order = list(qids)
-    random.Random(derive_seed(cfg.seed, "cv-partition")).shuffle(order)
-    base, extra = divmod(len(order), k)
-    folds: list[list[str]] = []
-    pos = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        folds.append(order[pos:pos + size])
-        pos += size
-    train_queries = [sorted(q for g, fold in enumerate(folds) if g != f
-                            for q in fold) for f in range(k)]
+    if folds is None:
+        folds = balanced_folds(map(query_page, qids), k,
+                               derive_seed(cfg.seed, "cv-partition"))
+    elif folds.k != k:
+        raise ValueError(f"fold assignment has {folds.k} folds, expected {k}")
+    fold_of = {q: folds.fold_of(query_page(q)) for q in qids}
+    test_queries = [[q for q in qids if fold_of[q] == f] for f in range(k)]
+    train_queries = [[q for q in qids if fold_of[q] != f] for f in range(k)]
     fold_args = ([{q: table[q] for q in train_queries[f]} for f in range(k)],
                  [qrels] * k, [feature_names] * k,
                  [replace(cfg, seed=derive_seed(cfg.seed, "fold", f))
@@ -376,15 +372,14 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
     merged: dict[str, Ranking] = {}
     reports: list[FoldReport] = []
     for f, (model, fold_train_map) in enumerate(trained):
-        test_queries = sorted(folds[f])
-        for qid in test_queries:
+        for qid in test_queries[f]:
             scored = {fv.paragraph_id: model.score(fv.features)
                       for fv in table[qid]}
             merged[qid] = rank_items(qid, scored)
         reports.append(FoldReport(
             fold=f,
             train_queries=tuple(train_queries[f]),
-            test_queries=tuple(test_queries),
+            test_queries=tuple(test_queries[f]),
             model=model,
             train_map=fold_train_map,
         ))

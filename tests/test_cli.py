@@ -8,7 +8,8 @@ import pytest
 
 from headingrank import ltr
 from headingrank.cli import main
-from headingrank.corpus import derive_qrels, load_corpus, write_corpus
+from headingrank.corpus import (all_queries, assign_folds, derive_qrels,
+                                load_corpus, write_corpus)
 from headingrank.envgen import read_candidates
 from headingrank.evaluation import read_run
 
@@ -346,6 +347,26 @@ def test_pipeline_same_seed_is_byte_identical(corpus_path, tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+def test_pipeline_folds_are_the_page_folds(tmp_path):
+    # pages of 1..5 headings: the page folds hold unequal query counts
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus_from_pages([
+        page(f"pg{pi}", f"Region {pi}", [
+            section(TOPICS[si].title(), [(f"p{pi}s{si}", f"{TOPICS[si]} zone {pi}")])
+            for si in range(pi % 5 + 1)])
+        for pi in range(7)]), str(corpus_path))
+    out_dir = tmp_path / "exp"
+    assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
+                   "--seed", "4", *PIPELINE_ARGS) == 0
+    corpus = load_corpus(str(corpus_path))
+    folds = assign_folds(corpus, 3, seed=4)
+    want = [0, 0, 0]
+    for q in all_queries(corpus):
+        want[folds.fold_of(q.page_id)] += 1
+    lines = (out_dir / "folds.txt").read_text(encoding="utf-8").splitlines()[1:]
+    assert [int(line.split("\t")[2]) for line in lines] == want
+
+
 @needs_fork
 def test_pipeline_dead_fold_worker_exits_1(corpus_path, tmp_path, monkeypatch,
                                           capsys):
@@ -385,6 +406,33 @@ def test_pipeline_external_feature_joins_fusion(corpus_path, tmp_path):
     folds = (out_dir / "folds.txt").read_text(encoding="utf-8").splitlines()
     # three features now: bm25, tfidf-cs, prior-scores
     assert all(len(line.split("\t")[4].split()) == 3 for line in folds[1:])
+
+
+@pytest.mark.parametrize("row, message", [
+    ("ghost%2Fpage/H Q0 p0s0n0 1 1.0 prior", "does not belong to this corpus"),
+    ("pg0/History Q0 ghost 1 1.0 prior", "is not in the index"),
+])
+def test_pipeline_rejects_external_rows_outside_corpus(corpus_path, tmp_path,
+                                                       capsys, row, message):
+    ext = tmp_path / "external.txt"
+    ext.write_text(row + "\n", encoding="utf-8")
+    out_dir = tmp_path / "exp"
+    assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
+                   "--external-scores", ext, *PIPELINE_ARGS) == 2
+    assert message in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--restarts=0", "--iterations=0",
+                                  "--ltr-folds=1", "--ltr-folds=7", "--mu=0"])
+def test_pipeline_rejects_bad_parameters_before_writing(corpus_path, tmp_path,
+                                                        capsys, flag):
+    # the corpus has 6 pages; a repeated --ltr-folds takes the last value
+    out_dir = tmp_path / "exp"
+    assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
+                   *PIPELINE_ARGS, flag) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(out_dir.iterdir()) == []
 
 
 def test_pipeline_external_name_collision_exits_2(corpus_path, tmp_path, capsys):

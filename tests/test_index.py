@@ -20,7 +20,6 @@ from headingrank.index import (
     bm25_score,
     bm25_term_score,
     build_index,
-    lm_dirichlet_score,
     lm_dirichlet_scores,
     load_index,
     matching_paragraphs,
@@ -87,7 +86,7 @@ def test_bm25_frozen_values(three_doc_index, query, expected):
 @pytest.mark.parametrize("query,expected", sorted(FROZEN_LM.items()))
 def test_lm_dirichlet_frozen_values(three_doc_index, query, expected):
     for pid, want in expected.items():
-        got = lm_dirichlet_score(three_doc_index, list(query), pid)
+        got = lm_dirichlet_scores(three_doc_index, list(query), [pid])[pid]
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -110,7 +109,7 @@ def test_bm25_params_validated():
 
 
 def test_lm_skips_unseen_collection_terms(three_doc_index):
-    assert lm_dirichlet_score(three_doc_index, ["zz"], "d1") == 0.0
+    assert lm_dirichlet_scores(three_doc_index, ["zz"], ["d1"])["d1"] == 0.0
 
 
 def test_tfidf_worked_example():
@@ -227,7 +226,7 @@ def test_pool_scorers_match_per_pair_reference():
             for pid in pool:
                 want = ref_lm_dirichlet_score(ix, q, pid, mu)
                 assert got[pid] == want
-                assert lm_dirichlet_score(ix, q, pid, mu) == want
+                assert lm_dirichlet_scores(ix, q, [pid], mu)[pid] == want
                 for t in q:
                     assert bm25_term_score(ix, t, pid, params) == \
                         ref_bm25_term_score(ix, t, pid, params)

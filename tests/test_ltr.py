@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from headingrank import ltr
-from headingrank.corpus import Qrels
+from headingrank.corpus import FoldAssignment, Qrels, all_queries, assign_folds
 from headingrank.evaluation import RunFile, average_precision
 from headingrank.index import Ranking, rank_items
 from headingrank.ltr import (
@@ -29,7 +29,8 @@ from headingrank.ltr import (
     _PackedQueries,
 )
 
-from conftest import exit_in_worker, needs_fork, time_limit
+from conftest import (corpus_from_pages, exit_in_worker, needs_fork, page,
+                      section, time_limit)
 
 
 # --- feature assembly -----------------------------------------------------
@@ -443,6 +444,62 @@ def test_cross_validate_validates_k():
         cross_validate(table, qrels, ("t", "n"), k=1)
     with pytest.raises(ValueError):
         cross_validate(table, qrels, ("t", "n"), k=5)
+
+
+def _paged_corpus_table():
+    """A corpus whose page ids include '/' and '%', and a separable
+    table over its heading queries: query id -> page id, table, qrels."""
+    shapes = {"a": 1, "a/b": 3, "50%/x": 2, "plain": 4, "z": 2}
+    corpus = corpus_from_pages([
+        page(pid, f"T{pi}", [
+            section(f"H{si}", [(f"x{pi}s{si}", "text")],
+                    [section("Sub/part", [(f"y{pi}s{si}", "text")])] if si % 2 else None)
+            for si in range(n)])
+        for pi, (pid, n) in enumerate(shapes.items())])
+    page_of = {q.query_id: q.page_id for q in all_queries(corpus)}
+    rng = random.Random(8)
+    table = {q: [FeatureVector(q, f"p{di}", (float(di == 0), rng.random()))
+                 for di in range(4)] for q in page_of}
+    qrels = Qrels({q: frozenset({"p0"}) for q in page_of})
+    return corpus, page_of, table, qrels
+
+
+def test_cross_validate_tests_each_page_in_one_fold():
+    corpus, page_of, table, qrels = _paged_corpus_table()
+    n_pages = len(corpus.pages)
+    for k in range(2, n_pages + 1):
+        _, reports = cross_validate(table, qrels, ("t", "n"), k=k,
+                                    cfg=CaConfig(seed=k, restarts=1, iterations=3))
+        fold_pages = [{page_of[q] for q in r.test_queries} for r in reports]
+        for pid in page_of.values():
+            assert sum(pid in pages for pages in fold_pages) == 1, (k, pid)
+        if k == n_pages:  # one page per fold: "a" and "a/b" stay apart
+            assert all(len(pages) == 1 for pages in fold_pages)
+
+
+def test_cross_validate_tests_each_query_in_its_page_fold():
+    corpus, page_of, table, qrels = _paged_corpus_table()
+    folds = assign_folds(corpus, 3, seed=5)
+    merged, reports = cross_validate(table, qrels, ("t", "n"), k=3,
+                                     cfg=CaConfig(seed=1, restarts=1, iterations=3),
+                                     folds=folds)
+    assert sorted(merged) == sorted(table)
+    for r in reports:
+        assert r.test_queries == tuple(
+            q for q in sorted(table) if folds.fold_of(page_of[q]) == r.fold)
+        assert r.train_queries == tuple(
+            q for q in sorted(table) if folds.fold_of(page_of[q]) != r.fold)
+
+
+def test_cross_validate_rejects_a_foreign_fold_assignment():
+    corpus, _, table, qrels = _paged_corpus_table()
+    folds = assign_folds(corpus, 3, seed=5)
+    with pytest.raises(ValueError, match="has 3 folds, expected 2"):
+        cross_validate(table, qrels, ("t", "n"), k=2, folds=folds)
+    partial = FoldAssignment(k=3, mapping={p: f for p, f in folds.mapping.items()
+                                           if p != "a/b"})
+    with pytest.raises(ValueError, match="page 'a/b' missing from fold assignment"):
+        cross_validate(table, qrels, ("t", "n"), k=3, folds=partial)
 
 
 def _cross_validate_both_ways(monkeypatch, *args, **kwargs):

@@ -33,3 +33,12 @@ def test_run_experiments_small_grid(tmp_path, capsys):
     assert significance.is_file()
     assert significance.read_text(encoding="utf-8").strip()
     assert "fused vs. each baseline" in capsys.readouterr().out
+
+
+def test_run_experiments_rejects_more_folds_than_pages(tmp_path, capsys):
+    main = _script_main("run_experiments.py")
+    code = main(["--out-dir", str(tmp_path), "--pages", "3",
+                 "--scorers", "bm25,tfidf-cs", "--ltr-folds", "4"])
+    assert code == 2
+    assert "exceeds page count 3" in capsys.readouterr().err
+    assert not list((tmp_path / "pipeline").glob("run-*.txt"))
