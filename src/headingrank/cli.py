@@ -65,8 +65,26 @@ def _method_params(args: argparse.Namespace, method: str,
     )
 
 
+def _needs_embeddings(params: MethodParams) -> bool:
+    return params.method in ("glove-cs", "entity-cs")
+
+
+def _needs_linker(params: MethodParams) -> bool:
+    return params.method == "entity-cs" or params.expansion == "ent-rm1"
+
+
+def _check_resources(args: argparse.Namespace, params: MethodParams,
+                     scorer: str) -> None:
+    """Reject a scorer whose --embeddings or --gazetteer was not given."""
+    if _needs_embeddings(params) and not args.embeddings:
+        raise CliInputError(f"{scorer} requires --embeddings")
+    if _needs_linker(params) and not args.gazetteer:
+        raise CliInputError(f"{scorer} requires --gazetteer")
+
+
 class _Resources:
-    """Lazily loaded semantic resources shared across engines."""
+    """Lazily loaded semantic resources shared across engines; callers
+    have checked the flags they need with _check_resources."""
 
     def __init__(self, args: argparse.Namespace, texts: Mapping[str, str]):
         self._args = args
@@ -77,15 +95,11 @@ class _Resources:
 
     def embeddings(self) -> EmbeddingStore:
         if self._embeddings is None:
-            if not getattr(self._args, "embeddings", None):
-                raise CliInputError("this method requires --embeddings")
             self._embeddings = load_embeddings(self._args.embeddings)
         return self._embeddings
 
     def linker(self) -> EntityLinker:
         if self._linker is None:
-            if not getattr(self._args, "gazetteer", None):
-                raise CliInputError("this method requires --gazetteer")
             self._linker = CachingLinker(load_gazetteer(self._args.gazetteer))
         return self._linker
 
@@ -103,9 +117,9 @@ def _build_engine(params: MethodParams, ix: Index, texts: Mapping[str, str],
                   folds: FoldAssignment | None) -> tuple[MethodEngine, dict[int, object] | None]:
     """Engine plus, for Rocchio, the per-held-out-fold support indexes."""
     kwargs: dict = {}
-    if params.method in ("glove-cs", "entity-cs"):
+    if _needs_embeddings(params):
         kwargs["embeddings"] = res.embeddings()
-    if params.method == "entity-cs" or params.expansion == "ent-rm1":
+    if _needs_linker(params):
         kwargs["linker"] = res.linker()
     if params.method == "entity-cs":
         kwargs["entity_stats"] = res.entity_stats()
@@ -203,6 +217,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     ix = _corpus_index(args, texts, cfg)
     queries = all_queries(corpus, cfg)
     params = _method_params(args, args.method, args.expansion)
+    _check_resources(args, params, args.method if args.expansion == "none"
+                     else f"{args.method}+{args.expansion}")
     res = _Resources(args, texts)
     folds = (assign_folds(corpus, args.ltr_folds, args.seed)
              if params.expansion == "rocchio" else None)
@@ -277,8 +293,9 @@ def _parse_scorers(args: argparse.Namespace) -> list[tuple[str, MethodParams]]:
     out: list[tuple[str, MethodParams]] = []
     for spec in specs:
         method, _, expansion = spec.partition("+")
-        out.append((spec, _method_params(args, method.strip(),
-                                         expansion.strip() or "none")))
+        params = _method_params(args, method.strip(), expansion.strip() or "none")
+        _check_resources(args, params, spec)
+        out.append((spec, params))
     names = [n for n, _ in out]
     if len(set(names)) != len(names):
         raise CliInputError("duplicate scorer in --scorers")

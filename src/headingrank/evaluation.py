@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -116,13 +117,71 @@ def evaluate_run(run: RunFile, qrels: Qrels) -> MetricsReport:
     )
 
 
+_CF_TINY = 1e-300
+_CF_MAX_TERMS = 100_000
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction in I_x(a, b), by the modified Lentz method.
+
+    It converges in O(sqrt(max(a, b))) terms for x < (a+1) / (a+b+2).
+    """
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for coeff in (even, odd):
+            d = 1.0 + coeff * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + coeff / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= c * d
+        if abs(c * d - 1.0) <= sys.float_info.epsilon:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge for a={a}, b={b}")
+
+
+def student_t_two_tailed(t: float, nu: int) -> float:
+    """P(|T| >= |t|) for Student's t with nu >= 1 degrees of freedom.
+
+    That is the regularized incomplete beta I_x(nu/2, 1/2) at
+    x = nu / (nu + t^2), from a continued fraction and an lgamma
+    prefactor. x and y = 1 - x are both formed from s^2 = t^2 / nu
+    without a subtraction, so the symmetric branch 1 - I_y(1/2, nu/2),
+    taken once x is large, keeps its precision as p nears 1, and no
+    t^2 overflows.
+    """
+    s = abs(t) / math.sqrt(nu)
+    if s == 0.0:
+        return 1.0
+    if s > 1.0:
+        q = 1.0 / (s * s)
+        x, y = q / (1.0 + q), 1.0 / (1.0 + q)
+        log_x, log_y = -2.0 * math.log(s) - math.log1p(q), -math.log1p(q)
+    else:
+        q = s * s
+        x, y = 1.0 / (1.0 + q), q / (1.0 + q)
+        log_x, log_y = -math.log1p(q), 2.0 * math.log(s) - math.log1p(q)
+    a, b = nu / 2.0, 0.5
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * log_x + b * log_y)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
+
+
 def paired_t_test(ap_a: Mapping[str, float], ap_b: Mapping[str, float],
                   alpha: float = 0.05) -> TTestResult:
     """Two-tailed paired t-test on per-query differences A - B.
 
-    Uses the sample standard deviation (n-1) and Student's t CDF with
-    n-1 degrees of freedom. All-zero differences are defined as p=1.
-    significant_worse flags A significantly below B at the given alpha.
+    Uses the sample standard deviation (n-1) and Student's t
+    distribution with n-1 degrees of freedom (student_t_two_tailed).
+    All-zero differences are defined as p=1, zero variance otherwise as
+    p=0. significant_worse flags A significantly below B at the given
+    alpha.
     """
     keys_a, keys_b = set(ap_a), set(ap_b)
     if keys_a != keys_b:
@@ -144,10 +203,7 @@ def paired_t_test(ap_a: Mapping[str, float], ap_b: Mapping[str, float],
         p = 0.0
     else:
         t = mean / (sd / math.sqrt(n))
-        # imported here, so commands that run no t-test never load scipy
-        from scipy.special import stdtr
-        # two-tailed p from the lower tail of Student's t
-        p = 2.0 * float(stdtr(n - 1, -abs(t)))
+        p = student_t_two_tailed(t, n - 1)
     return TTestResult(
         mean_diff=mean,
         t_statistic=t,
@@ -163,8 +219,9 @@ P_VALUE_FLOOR = 1e-300
 def format_p_value(p: float) -> str:
     """Six significant digits; a p-value that underflowed prints as '<1e-300'.
 
-    stdtr returns 0 (or a subnormal) once |t| is large enough, and the
-    zero-variance case defines p = 0, but no finite sample proves p = 0.
+    The t tail underflows to 0 (or a subnormal) once |t| is large
+    enough, and the zero-variance case defines p = 0, but no finite
+    sample proves p = 0.
     """
     return f"{p:.6g}" if p >= P_VALUE_FLOOR else f"<{P_VALUE_FLOOR:g}"
 

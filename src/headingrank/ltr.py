@@ -109,6 +109,13 @@ def assemble_feature_table(runs: Sequence[RunFile]) -> dict[str, list[FeatureVec
     return table
 
 
+# Most cells (trials x relevant rows x rows) one chunk of a batched MAP
+# call compares at once. A chunk's temporaries, about 12 bytes a cell,
+# then stay near 3 MiB, the size that scored fastest at 50 and 200
+# pages; a 5-page sweep of 12 trials (about 16k cells) is one chunk.
+_MAP_CHUNK_CELLS = 1 << 18
+
+
 class _PackedQueries:
     """Training queries as padded numpy tensors for fast MAP evaluation.
 
@@ -166,8 +173,22 @@ class _PackedQueries:
 
         Bit-identical to sorting every query by score (stable, so ties
         keep ascending row order) and averaging precision at each hit.
+        A batch is scored in chunks of trials that compare at most
+        _MAP_CHUNK_CELLS cells; no trial's arithmetic depends on the
+        others in its chunk, so the chunking never changes a bit.
         """
         batch = np.atleast_2d(weights)
+        cells = max(1, len(self._rel_q) * self.pad.shape[1])  # per trial
+        step = max(1, _MAP_CHUNK_CELLS // cells)
+        if len(batch) <= step:  # one chunk, as at fusion size: no copy
+            maps = self._chunk_map(batch)
+        else:
+            maps = np.concatenate([self._chunk_map(batch[i:i + step])
+                                   for i in range(0, len(batch), step)])
+        return float(maps[0]) if np.ndim(weights) == 1 else maps
+
+    def _chunk_map(self, batch: np.ndarray) -> np.ndarray:
+        """MAP of each row of a (T, nf) batch, all trials at once."""
         scores = np.empty((len(batch),) + self.pad.shape)
         for trial, w in enumerate(batch):
             # features @ w, one trial at a time: a single gemm over the
@@ -183,8 +204,7 @@ class _PackedQueries:
         precision = np.zeros_like(scores)
         precision[np.arange(len(batch))[:, None], self._rel_q, ranks - 1] = hits / ranks
         ap = precision.sum(axis=-1) / self.r_counts
-        maps = ap.mean(axis=-1)
-        return float(maps[0]) if np.ndim(weights) == 1 else maps
+        return ap.mean(axis=-1)
 
 
 def training_map(model: LinearModel, table: Mapping[str, Sequence[FeatureVector]],
@@ -285,12 +305,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _train_fold(table: Mapping[str, Sequence[FeatureVector]], qrels: Qrels,
-                feature_names: Sequence[str],
-                cfg: CaConfig) -> tuple[LinearModel, float]:
-    """One fold's model, trained on its training table, and its training MAP."""
-    model = train_coordinate_ascent(table, qrels, feature_names, cfg)
-    return model, training_map(model, table, qrels)
+# The running cross_validate's inputs, which every fold task reads.
+_fold_inputs: dict[str, tuple] = {}
+
+
+def _share_folds(*inputs) -> None:
+    """Hand the table, qrels, feature names, each fold's training queries
+    and each fold's config to _train_fold. A forked worker runs this as
+    its pool initializer, so the inputs reach it without being pickled."""
+    _fold_inputs["shared"] = inputs
+
+
+def _train_fold(fold: int) -> tuple[LinearModel, float]:
+    """One fold's model, trained on its training queries, and its training MAP."""
+    table, qrels, feature_names, train_queries, configs = _fold_inputs["shared"]
+    train = {q: table[q] for q in train_queries[fold]}
+    model = train_coordinate_ascent(train, qrels, feature_names, configs[fold])
+    return model, training_map(model, train, qrels)
 
 
 # What a fold task calls, as this module defines it; see _fold_workers.
@@ -334,12 +365,13 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
     pages are split by corpus.balanced_folds under the config seed.
 
     Folds train in up to min(k, usable CPUs) forked worker processes,
-    one fold per task, and are merged here in fold order. A fold's
-    arithmetic is the same in any process, so every model, MAP and
-    ranking is independent of the CPU count. With one usable CPU, off
-    Linux, before Python 3.11, or while a fold task's code is wrapped
-    (see _fold_workers), the folds train in this process. A worker that
-    dies raises BrokenProcessPool.
+    which inherit the table and the other inputs through the fork; a
+    task carries only its fold index, and folds are merged here in fold
+    order. A fold's arithmetic is the same in any process, so every
+    model, MAP and ranking is independent of the CPU count. With one
+    usable CPU, off Linux, before Python 3.11, or while a fold task's
+    code is wrapped (see _fold_workers), the folds train in this
+    process. A worker that dies raises BrokenProcessPool.
     """
     qids = sorted(table)
     if folds is None:
@@ -350,25 +382,29 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
     fold_of = {q: folds.fold_of(query_page(q)) for q in qids}
     test_queries = [[q for q in qids if fold_of[q] == f] for f in range(k)]
     train_queries = [[q for q in qids if fold_of[q] != f] for f in range(k)]
-    fold_args = ([{q: table[q] for q in train_queries[f]} for f in range(k)],
-                 [qrels] * k, [feature_names] * k,
-                 [replace(cfg, seed=derive_seed(cfg.seed, "fold", f))
-                  for f in range(k)])
+    shared = (table, qrels, feature_names, train_queries,
+              [replace(cfg, seed=derive_seed(cfg.seed, "fold", f))
+               for f in range(k)])
     workers = _fold_workers(k)
     if workers > 1:
         # imported here so that importing the CLI does not pay for them
         import concurrent.futures
         import multiprocessing
         # fork: workers start from this process's memory, with no new
-        # interpreter or imports
+        # interpreter or imports, and inherit the shared inputs
         pool = concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"))
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_share_folds, initargs=shared)
         try:
-            trained = list(pool.map(_train_fold, *fold_args))
+            trained = list(pool.map(_train_fold, range(k)))
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        trained = list(map(_train_fold, *fold_args))
+        _share_folds(*shared)
+        try:
+            trained = list(map(_train_fold, range(k)))
+        finally:
+            _fold_inputs.clear()
     merged: dict[str, Ranking] = {}
     reports: list[FoldReport] = []
     for f, (model, fold_train_map) in enumerate(trained):

@@ -12,6 +12,7 @@ from headingrank.corpus import (all_queries, assign_folds, derive_qrels,
                                 load_corpus, write_corpus)
 from headingrank.envgen import read_candidates
 from headingrank.evaluation import read_run
+from headingrank.synth import SynthSpec, write_fixture
 
 from conftest import (corpus_from_pages, exit_in_worker, needs_fork, page,
                       section, time_limit)
@@ -58,6 +59,33 @@ def test_importing_cli_leaves_module_unloaded(module):
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or f"{module} was imported"
+
+
+def test_pipeline_eval_and_compare_never_import_scipy(tmp_path):
+    # the t-test's Student-t tail is computed in the package itself
+    paths = write_fixture(SynthSpec(pages=3, seed=5), str(tmp_path / "fx"))
+    out = tmp_path / "exp"
+    argvs = [
+        ["pipeline", "--corpus", paths["corpus"], "--out-dir", str(out),
+         "--scorers", "bm25,tfidf-cs", *PIPELINE_ARGS],
+        ["eval", "--run", str(out / "run-fused.txt"), "--qrels", str(out / "qrels.txt")],
+        ["compare", "--run-a", str(out / "run-fused.txt"),
+         "--run-b", str(out / "run-bm25.txt"), "--qrels", str(out / "qrels.txt")],
+    ]
+    code = ("import io, sys, contextlib; from headingrank.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "sys.exit(1 if any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules) else 0)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"
+    rows = (out / "significance.txt").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 2
+    # the t-test ran on real differences, so the tail was computed
+    assert any(0.0 < float(row.split("\t")[5]) < 1.0 for row in rows), rows
 
 
 # --- argparse surface ---------------------------------------------------
@@ -424,7 +452,8 @@ def test_pipeline_rejects_external_rows_outside_corpus(corpus_path, tmp_path,
 
 
 @pytest.mark.parametrize("flag", ["--restarts=0", "--iterations=0",
-                                  "--ltr-folds=1", "--ltr-folds=7", "--mu=0"])
+                                  "--ltr-folds=1", "--ltr-folds=7", "--mu=0",
+                                  "--scorers=bm25,glove-cs"])
 def test_pipeline_rejects_bad_parameters_before_writing(corpus_path, tmp_path,
                                                         capsys, flag):
     # the corpus has 6 pages; a repeated --ltr-folds takes the last value
@@ -432,6 +461,21 @@ def test_pipeline_rejects_bad_parameters_before_writing(corpus_path, tmp_path,
     assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
                    *PIPELINE_ARGS, flag) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("scorer, given, missing", [
+    ("entity-cs", "gazetteer", "embeddings"),
+    ("entity-cs+ent-rm1", "embeddings", "gazetteer"),
+])
+def test_pipeline_rejects_missing_resource_before_writing(
+        corpus_path, tmp_path, capsys, scorer, given, missing):
+    paths = write_fixture(SynthSpec(pages=2, seed=2), str(tmp_path / "fx"))
+    out_dir = tmp_path / "exp"
+    assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
+                   "--scorers", f"bm25,{scorer}", f"--{given}", paths[given],
+                   *PIPELINE_ARGS) == 2
+    assert f"{scorer} requires --{missing}" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
 
 

@@ -24,6 +24,7 @@ from headingrank.evaluation import (
     read_run,
     reciprocal_rank,
     run_from_rankings,
+    student_t_two_tailed,
     write_run,
 )
 from headingrank.index import Ranking
@@ -205,6 +206,48 @@ def test_underflowing_p_value_prints_as_floor():
     assert format_p_value(1e-300) == "1e-300"
     assert format_p_value(0.0123456789) == "0.0123457"
     assert format_p_value(1.0) == "1"
+
+
+# |t| from 1e-12 (p within 1e-12 of 1) to 1000 (p far below 1e-300 at
+# large nu), and nu from 1 to 5000: small samples, fusion's ~900 queries
+# and beyond.
+_T_GRID = sorted({0.0, 1e-12, 1e-8, 1e-4, 0.5, 1.0, 1.96, 2.0, 3.0, 10.0,
+                  1000.0, *(10.0 ** (e / 8.0) for e in range(-48, 25))})
+_NU_GRID = (1, 2, 3, 4, 5, 7, 9, 10, 15, 30, 49, 100, 250, 919, 1000, 2000, 5000)
+
+
+def test_t_tail_matches_closed_forms_for_one_and_two_degrees():
+    # nu=1 is the Cauchy law, p = (2/pi) atan(1/t); nu=2 gives
+    # p = 1 - t/sqrt(2 + t^2), written without the cancellation
+    for t in _T_GRID:
+        cauchy = 2.0 / math.pi * math.atan2(1.0, t)
+        root = math.sqrt(2.0 + t * t)
+        two = 2.0 / (root * (root + t))
+        assert student_t_two_tailed(t, 1) == pytest.approx(cauchy, rel=1e-13)
+        assert student_t_two_tailed(-t, 2) == pytest.approx(two, rel=1e-13)
+
+
+def test_t_tail_matches_scipy_stdtr_oracle():
+    special = pytest.importorskip("scipy.special")
+    compared = 0
+    for nu in _NU_GRID:
+        for t in _T_GRID:
+            expected = 2.0 * float(special.stdtr(nu, -t))
+            if expected < 1e-300:
+                continue
+            got = student_t_two_tailed(t, nu)
+            assert abs(got - expected) <= 1e-8 * expected, (nu, t, got, expected)
+            assert format_p_value(min(got, 1.0)) == format_p_value(min(expected, 1.0))
+            compared += 1
+    assert compared > 1000
+
+
+def test_t_tail_is_exact_at_zero_and_finite_beyond_t_squared_overflow():
+    assert student_t_two_tailed(0.0, 7) == 1.0
+    # t^2 overflows, but the Cauchy tail is still far above the print floor
+    assert student_t_two_tailed(1e200, 1) == pytest.approx(2.0 / math.pi * 1e-200,
+                                                           rel=1e-13)
+    assert student_t_two_tailed(math.inf, 5) == 0.0
 
 
 def test_ttest_mismatched_queries_lists_difference():

@@ -1,7 +1,9 @@
 """Feature assembly, packed MAP evaluation, coordinate ascent, CV folds."""
 
+import functools
 import math
 import os
+import pickle
 import random
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -225,6 +227,26 @@ def test_mean_ap_is_bitwise_the_sorted_ranking_map():
             checked += 1
     assert checked > 500
     assert most_hits >= 3  # AP sums three or more terms somewhere
+
+
+def test_chunked_mean_ap_is_bitwise_one_chunk(monkeypatch):
+    rng = random.Random(77)
+    for _ in range(40):
+        nf = rng.randint(1, 4)
+        table, qrels = _tied_table(rng, rng.randint(1, 12), nf)
+        packed = _PackedQueries(table, qrels, nf)
+        batch = np.array([[rng.choice((0.0, 0.5, -1.0, rng.uniform(-1, 1)))
+                           for _ in range(nf)] for _ in range(rng.randint(1, 12))])
+        whole = packed.mean_ap(batch)
+        cells = len(packed._rel_q) * packed.pad.shape[1]
+        # one trial per chunk, then chunks of 1-5 trials with a short last one
+        for limit in (1, cells * rng.randint(1, 5) + rng.randrange(max(cells, 1))):
+            monkeypatch.setattr(ltr, "_MAP_CHUNK_CELLS", limit)
+            chunked = packed.mean_ap(batch)
+            assert chunked.shape == whole.shape
+            assert chunked.tobytes() == whole.tobytes()
+            assert packed.mean_ap(batch[0]) == whole[0]
+        monkeypatch.undo()
 
 
 # --- coordinate ascent ------------------------------------------------------
@@ -550,6 +572,31 @@ def test_dead_fold_worker_raises_broken_pool(monkeypatch):
         cross_validate(table, qrels, ("t", "n"), k=3,
                        cfg=CaConfig(restarts=1, iterations=2))
 
+
+
+@needs_fork
+def test_fold_tasks_get_an_index_and_never_pickle_a_feature_row(monkeypatch):
+    # workers inherit the table through the fork; a task carries its fold
+    table, qrels = _separable_table(nq=9)
+    cfg = CaConfig(restarts=1, iterations=4)
+    expected = cross_validate(table, qrels, ("t", "n"), k=3, cfg=cfg)
+    task = ltr._train_fold
+
+    @functools.wraps(task)  # pickled by reference, as the original is
+    def index_only(fold):
+        if type(fold) is not int:
+            raise TypeError(f"fold task got a {type(fold).__name__}")
+        return task(fold)
+
+    def refuse(self, protocol):
+        raise pickle.PicklingError("a feature row was pickled")
+
+    monkeypatch.setattr(ltr, "_train_fold", index_only)
+    monkeypatch.setattr(FeatureVector, "__reduce_ex__", refuse)
+    pooled, in_process = _cross_validate_both_ways(
+        monkeypatch, table, qrels, ("t", "n"), k=3, cfg=cfg)
+    assert pooled == in_process == expected
+    assert ltr._fold_inputs == {}  # the in-process run let go of the table
 
 
 def test_folds_fork_only_on_linux_from_python_3_11(monkeypatch):
