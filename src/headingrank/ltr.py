@@ -180,11 +180,8 @@ class _PackedQueries:
         batch = np.atleast_2d(weights)
         cells = max(1, len(self._rel_q) * self.pad.shape[1])  # per trial
         step = max(1, _MAP_CHUNK_CELLS // cells)
-        if len(batch) <= step:  # one chunk, as at fusion size: no copy
-            maps = self._chunk_map(batch)
-        else:
-            maps = np.concatenate([self._chunk_map(batch[i:i + step])
-                                   for i in range(0, len(batch), step)])
+        maps = np.concatenate([self._chunk_map(batch[i:i + step])
+                               for i in range(0, len(batch), step)])
         return float(maps[0]) if np.ndim(weights) == 1 else maps
 
     def _chunk_map(self, batch: np.ndarray) -> np.ndarray:
@@ -305,20 +302,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The running cross_validate's inputs, which every fold task reads.
-_fold_inputs: dict[str, tuple] = {}
-
-
-def _share_folds(*inputs) -> None:
-    """Hand the table, qrels, feature names, each fold's training queries
-    and each fold's config to _train_fold. A forked worker runs this as
-    its pool initializer, so the inputs reach it without being pickled."""
-    _fold_inputs["shared"] = inputs
+# The running cross_validate's table, qrels, feature names, each fold's
+# training queries and each fold's config, which every fold task reads.
+# Forked workers inherit it, so it reaches them without being pickled.
+_fold_inputs: tuple | None = None
 
 
 def _train_fold(fold: int) -> tuple[LinearModel, float]:
     """One fold's model, trained on its training queries, and its training MAP."""
-    table, qrels, feature_names, train_queries, configs = _fold_inputs["shared"]
+    table, qrels, feature_names, train_queries, configs = _fold_inputs
     train = {q: table[q] for q in train_queries[fold]}
     model = train_coordinate_ascent(train, qrels, feature_names, configs[fold])
     return model, training_map(model, train, qrels)
@@ -382,29 +374,29 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
     fold_of = {q: folds.fold_of(query_page(q)) for q in qids}
     test_queries = [[q for q in qids if fold_of[q] == f] for f in range(k)]
     train_queries = [[q for q in qids if fold_of[q] != f] for f in range(k)]
-    shared = (table, qrels, feature_names, train_queries,
-              [replace(cfg, seed=derive_seed(cfg.seed, "fold", f))
-               for f in range(k)])
+    global _fold_inputs
+    _fold_inputs = (table, qrels, feature_names, train_queries,
+                    [replace(cfg, seed=derive_seed(cfg.seed, "fold", f))
+                     for f in range(k)])
     workers = _fold_workers(k)
-    if workers > 1:
-        # imported here so that importing the CLI does not pay for them
-        import concurrent.futures
-        import multiprocessing
-        # fork: workers start from this process's memory, with no new
-        # interpreter or imports, and inherit the shared inputs
-        pool = concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_share_folds, initargs=shared)
-        try:
-            trained = list(pool.map(_train_fold, range(k)))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        _share_folds(*shared)
-        try:
+    try:
+        if workers > 1:
+            # imported here so that importing the CLI does not pay for them
+            import concurrent.futures
+            import multiprocessing
+            # fork: workers start from this process's memory, with no new
+            # interpreter or imports, and inherit _fold_inputs; a fork
+            # pool starts every worker at the first task
+            pool = concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                trained = list(pool.map(_train_fold, range(k)))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
             trained = list(map(_train_fold, range(k)))
-        finally:
-            _fold_inputs.clear()
+    finally:
+        _fold_inputs = None
     merged: dict[str, Ranking] = {}
     reports: list[FoldReport] = []
     for f, (model, fold_train_map) in enumerate(trained):

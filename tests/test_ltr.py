@@ -596,7 +596,7 @@ def test_fold_tasks_get_an_index_and_never_pickle_a_feature_row(monkeypatch):
     pooled, in_process = _cross_validate_both_ways(
         monkeypatch, table, qrels, ("t", "n"), k=3, cfg=cfg)
     assert pooled == in_process == expected
-    assert ltr._fold_inputs == {}  # the in-process run let go of the table
+    assert ltr._fold_inputs is None  # both runs let go of the table
 
 
 def test_folds_fork_only_on_linux_from_python_3_11(monkeypatch):
