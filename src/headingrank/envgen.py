@@ -9,17 +9,22 @@ from its own seeded generator, so regenerating one heading never
 perturbs another and the whole environment is reproducible from a
 single master seed.
 
-Each page's paragraph list and the sorted list of every referenced
-paragraph are built once per corpus; a page's foreign pool is that
-sorted list minus the page's own paragraphs, so a paragraph shared by
-two pages is never foreign to a page that holds it.
+Each page's paragraph list, the sorted list of every referenced
+paragraph and each id's position in it are built once per corpus. A
+page's foreign pool is that sorted list minus the page's own
+paragraphs, so a paragraph shared by two pages is never foreign to a
+page that holds it. The pool is a read-only view that skips the page's
+own positions, not a copy, so a command costs O(paragraphs) plus a
+little per draw instead of O(pages x paragraphs).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .corpus import Corpus, HeadingQuery, Page, iter_sections, section_query_id
 from .index import Bm25Params, Index, bm25_score, retrieve_topk
@@ -63,19 +68,48 @@ def _page_paragraph_ids(page: Page) -> list[str]:
     return out
 
 
-def _page_pools(corpus: Corpus) -> Iterator[tuple[Page, list[str], list[str]]]:
-    """(page, its paragraph ids, its sorted foreign pool) for every page.
+class _ForeignPool(Sequence):
+    """Sorted ids minus the ones at a page's own positions, read-only.
 
-    Sections are walked once per page and the referenced ids sorted once
-    per corpus. A paragraph can be referenced from more than one page;
-    anything a page already holds never reappears in its foreign pool.
-    Pools are yielded one page at a time, so only one is alive at once.
+    Item j (0 <= j < len; no negative indices) is ids[j + c], where c
+    counts the own positions at or before it: with own positions
+    o_0 < o_1 < ..., o_m - m ids precede o_m in the view, so c is how
+    many of those counts are <= j.
+    """
+
+    __slots__ = ("_ids", "_skips", "_len")
+
+    def __init__(self, ids: list[str], own_positions: list[int]):
+        self._ids = ids
+        self._skips = [pos - m for m, pos in enumerate(own_positions)]
+        self._len = len(ids) - len(own_positions)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, j: int) -> str:
+        if not 0 <= j < self._len:
+            raise IndexError("foreign pool index out of range")
+        return self._ids[j + bisect_right(self._skips, j)]
+
+
+def _page_pools(corpus: Corpus) -> Iterator[tuple[Page, list[str], Sequence[str]]]:
+    """(page, its paragraph ids, a view of its sorted foreign pool) per page.
+
+    Sections are walked once per page; the referenced ids are sorted and
+    their positions mapped once per corpus. A paragraph can be
+    referenced from more than one page; anything a page already holds
+    never appears in its foreign pool. The pool is a _ForeignPool over
+    the shared sorted list, so building it costs O(the page's own ids),
+    and random.sample draws from it exactly what it would draw from the
+    equivalent list: it reads only len() and items, or list(pool).
     """
     page_pids = [_page_paragraph_ids(page) for page in corpus.pages]
     everything = sorted({p for pids in page_pids for p in pids})
+    position = {p: i for i, p in enumerate(everything)}
     for page, pids in zip(corpus.pages, page_pids):
-        own = set(pids)
-        yield page, pids, [p for p in everything if p not in own]
+        own = sorted({position[p] for p in pids})
+        yield page, pids, _ForeignPool(everything, own)
 
 
 def _sample(rng: random.Random, pool: Sequence[str], want: int) -> tuple[list[str], int]:

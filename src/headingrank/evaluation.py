@@ -119,6 +119,10 @@ def evaluate_run(run: RunFile, qrels: Qrels) -> MetricsReport:
 
 _CF_TINY = 1e-300
 _CF_MAX_TERMS = 100_000
+# From this nu on, lgamma(a + 1/2) - lgamma(a) with a = nu/2 cancels
+# about nu x 1e-16 relative, so its asymptotic series is used instead;
+# the first omitted term, 1/(640 a^5), is below 1e-22 there.
+_T_SERIES_MIN_NU = 1 << 14
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -152,7 +156,9 @@ def student_t_two_tailed(t: float, nu: int) -> float:
     prefactor. x and y = 1 - x are both formed from s^2 = t^2 / nu
     without a subtraction, so the symmetric branch 1 - I_y(1/2, nu/2),
     taken once x is large, keeps its precision as p nears 1, and no
-    t^2 overflows.
+    t^2 overflows. From _T_SERIES_MIN_NU on, the prefactor's
+    lgamma(a + 1/2) - lgamma(a) is the series
+    ln(a)/2 - 1/(8a) + 1/(192a^3).
     """
     s = abs(t) / math.sqrt(nu)
     if s == 0.0:
@@ -166,8 +172,11 @@ def student_t_two_tailed(t: float, nu: int) -> float:
         x, y = 1.0 / (1.0 + q), q / (1.0 + q)
         log_x, log_y = -math.log1p(q), 2.0 * math.log(s) - math.log1p(q)
     a, b = nu / 2.0, 0.5
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * log_x + b * log_y)
+    if nu >= _T_SERIES_MIN_NU:
+        log_ratio = 0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a ** 3)
+    else:
+        log_ratio = math.lgamma(a + b) - math.lgamma(a)
+    front = math.exp(log_ratio - math.lgamma(b) + a * log_x + b * log_y)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
     return 1.0 - front * _beta_continued_fraction(b, a, y) / b

@@ -12,7 +12,9 @@ Whatever does not depend on the paragraph is computed once per query,
 not once per (query, paragraph) pair: BM25 callers look up each term's
 idf once (bm25_weight is the per-pair formula), and
 lm_dirichlet_scores computes each term's smoothing mass once per pool.
-A SparseVector computes its norm once, on first use, and keeps it.
+A SparseVector computes its norm once, on first use, and keeps it, and
+an Index builds its per-paragraph term counts (doc_tf) the same way, so
+building and saving an index never pays for them.
 """
 
 from __future__ import annotations
@@ -96,10 +98,15 @@ class Index:
         self.collection_tf = {t: sum(tf for _, tf in pl) for t, pl in postings.items()}
         self.collection_len = sum(doc_lengths.values())
         self.avg_doc_len = self.collection_len / self.n_docs if self.n_docs else 0.0
-        self.doc_tf: dict[str, dict[str, int]] = {pid: {} for pid in doc_lengths}
-        for term, plist in postings.items():
+
+    @cached_property
+    def doc_tf(self) -> dict[str, dict[str, int]]:
+        """Paragraph id -> term -> tf, built from the postings on first read."""
+        doc_tf: dict[str, dict[str, int]] = {pid: {} for pid in self.doc_lengths}
+        for term, plist in self.postings.items():
             for pid, tf in plist:
-                self.doc_tf[pid][term] = tf
+                doc_tf[pid][term] = tf
+        return doc_tf
 
     def __contains__(self, paragraph_id: str) -> bool:
         return paragraph_id in self.doc_lengths
@@ -254,7 +261,7 @@ def save_index(ix: Index, path: str) -> None:
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "doc_lengths": ix.doc_lengths,
-        "postings": {t: [[pid, tf] for pid, tf in pl] for t, pl in ix.postings.items()},
+        "postings": ix.postings,  # json writes each (pid, tf) as [pid, tf]
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -7,12 +7,16 @@ measure m of a stem counts vowel-consonant sequences in the form
 left after removing the candidate suffix.
 
 Input is assumed to be a lowercase alphabetic word; callers filter
-anything else before stemming.
+anything else before stemming. Stems are memoised, because a corpus
+repeats the same words many times; at most STEM_CACHE_SIZE are kept.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = "aeiou"
+STEM_CACHE_SIZE = 1 << 14
 
 
 def _is_consonant(word: str, i: int) -> bool:
@@ -198,6 +202,7 @@ def _step5b(w: str) -> str:
     return w
 
 
+@lru_cache(maxsize=STEM_CACHE_SIZE)
 def stem(word: str) -> str:
     """Stem one lowercase alphabetic word.
 

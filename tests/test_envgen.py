@@ -2,9 +2,11 @@
 
 import inspect
 import random
+from collections.abc import Sequence
 
 import pytest
 
+from headingrank import envgen
 from headingrank.corpus import all_queries, derive_qrels, iter_sections
 from headingrank.envgen import (
     PROVENANCE_OTHER,
@@ -220,13 +222,67 @@ def test_page_pools_match_reference_pool():
         assert [t[0] for t in triples] == list(corpus.pages)
         for pg, pids, foreign in triples:
             assert pids == _reference_page_pids(pg)
-            assert foreign == _reference_foreign_pool(corpus, pg)
+            expected = _reference_foreign_pool(corpus, pg)
+            assert list(foreign) == expected
+            # a read-only view, indexed without copying
+            assert isinstance(foreign, Sequence) and not isinstance(foreign, list)
+            assert len(foreign) == len(expected)
+            assert [foreign[j] for j in range(len(expected))] == expected
+            assert list(reversed(foreign)) == expected[::-1]
+            for j in (len(expected), len(expected) + 3, -1):
+                with pytest.raises(IndexError):
+                    foreign[j]
+            with pytest.raises(TypeError):
+                foreign[0] = "x"
         holders = {}
         for pg in corpus.pages:
             for pid in _reference_page_pids(pg):
                 holders.setdefault(pid, set()).add(pg.id)
         corpora_with_shared += any(len(h) > 1 for h in holders.values())
     assert corpora_with_shared >= 10
+
+
+def _materialised_page_pools(corpus):
+    """_page_pools as it was before the view: one list copy per page."""
+    page_pids = [_reference_page_pids(pg) for pg in corpus.pages]
+    everything = sorted({p for pids in page_pids for p in pids})
+    for pg, pids in zip(corpus.pages, page_pids):
+        own = set(pids)
+        yield pg, pids, [p for p in everything if p not in own]
+
+
+def _oracle_corpora(rng):
+    # The small random corpora give many pools of at most 21 items, which
+    # random.sample always copies with list(); the 40-page corpus puts
+    # 351 items in each pool, so every draw there indexes the view.
+    for _ in range(60):
+        yield _random_corpus(rng)
+    yield _env_corpus(n_pages=40, paras_per_section=3, sections=3)
+    # "all" references every paragraph: its foreign pool is empty.
+    yield corpus_from_pages([
+        page("a", "A", [section("H", [("a1", "alpha"), ("a2", "alpha two")])]),
+        page("b", "B", [section("H", [("b1", "beta")]),
+                        section("K", [("b2", "beta two")])]),
+        page("all", "All", [section("H", [("a1", None), ("b1", None)]),
+                            section("K", [("a2", None), ("b2", None)])]),
+    ])
+
+
+def test_envs_from_pool_views_equal_envs_from_materialised_pools(monkeypatch):
+    rng = random.Random(22)
+    compared = 0
+    for corpus in _oracle_corpora(rng):
+        seed = rng.randrange(10**6)
+        spec = EnvSpec(neg_same_article=rng.randint(0, 4),
+                       neg_other_article=rng.randint(1, 6), seed=seed)
+        monkeypatch.setattr(envgen, "_page_pools", _materialised_page_pools)
+        expected = (build_train_env(corpus, spec), build_test_env(corpus, seed=seed))
+        monkeypatch.undo()
+        assert (build_train_env(corpus, spec), build_test_env(corpus, seed=seed)) == expected
+        compared += 1
+    assert compared >= 62
+    full = build_test_env(corpus, seed=1)["all/H"]
+    assert full.deficit_other == 4 and len(full.paragraph_ids) == 4
 
 
 # --- test environment ---------------------------------------------------------

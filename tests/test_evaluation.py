@@ -242,6 +242,19 @@ def test_t_tail_matches_scipy_stdtr_oracle():
     assert compared > 1000
 
 
+def test_t_tail_keeps_precision_at_large_nu():
+    # lgamma(nu/2 + 1/2) - lgamma(nu/2) cancels about nu x 1e-16, 2e-10
+    # and 6e-9 relative at these nu; what is left is the continued
+    # fraction's own rounding, up to about 7e-11 at nu = 10^6.
+    special = pytest.importorskip("scipy.special")
+    for nu in (10**5, 10**6):
+        for i in range(1, 201):
+            t = i / 20.0
+            expected = 2.0 * float(special.stdtr(nu, -t))
+            got = student_t_two_tailed(t, nu)
+            assert abs(got - expected) <= 1e-10 * expected, (nu, t, got, expected)
+
+
 def test_t_tail_is_exact_at_zero_and_finite_beyond_t_squared_overflow():
     assert student_t_two_tailed(0.0, 7) == 1.0
     # t^2 overflows, but the Cauchy tail is still far above the print floor

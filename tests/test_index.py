@@ -7,6 +7,7 @@ not computed here, so a regression in the scorers cannot hide.
 """
 
 import dataclasses
+import json
 import math
 import random
 
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from headingrank.index import (
+    INDEX_FORMAT,
+    INDEX_VERSION,
     Bm25Params,
     SparseVector,
     bm25_idf,
@@ -263,6 +266,48 @@ def test_index_roundtrip_and_byte_stability(tmp_path, three_doc_index):
     assert again.doc_lengths == three_doc_index.doc_lengths
     save_index(build_index(THREE_DOCS, PLAIN_CFG), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _listed_payload(ix):
+    """The payload save_index built before it wrote postings as they are."""
+    return {
+        "format": INDEX_FORMAT,
+        "version": INDEX_VERSION,
+        "doc_lengths": ix.doc_lengths,
+        "postings": {t: [[pid, tf] for pid, tf in pl] for t, pl in ix.postings.items()},
+    }
+
+
+def test_save_index_bytes_equal_listed_payload(tmp_path):
+    rng = random.Random(43)
+    for trial in range(20):
+        ix = plain_index(_random_corpus(rng, n_docs=rng.randint(1, 40), vocab=12))
+        path = tmp_path / f"ix{trial}.json"
+        save_index(ix, str(path))
+        expected = json.dumps(_listed_payload(ix), sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert load_index(str(path)).postings == ix.postings
+
+
+def _eager_doc_tf(ix):
+    doc_tf = {pid: {} for pid in ix.doc_lengths}
+    for term, plist in ix.postings.items():
+        for pid, tf in plist:
+            doc_tf[pid][term] = tf
+    return doc_tf
+
+
+def test_doc_tf_is_built_on_first_read_only(tmp_path):
+    rng = random.Random(44)
+    for trial in range(10):
+        ix = plain_index(_random_corpus(rng, n_docs=rng.randint(1, 40), vocab=12))
+        save_index(ix, str(tmp_path / "ix.json"))
+        assert "doc_tf" not in vars(ix)
+        expected = _eager_doc_tf(ix)
+        assert ix.doc_tf == expected
+        assert [list(d) for d in ix.doc_tf.values()] == [list(d) for d in expected.values()]
+        assert ix.doc_tf is ix.doc_tf
+        assert load_index(str(tmp_path / "ix.json")).doc_tf == expected
 
 
 def test_load_index_rejects_foreign_file(tmp_path):

@@ -6,6 +6,7 @@ once, including the measure conditions and the double-consonant and
 cvc special cases.
 """
 
+import random
 import string
 
 import pytest
@@ -108,6 +109,17 @@ STEM_VECTORS = [
 @pytest.mark.parametrize("word,expected", STEM_VECTORS)
 def test_stem_vectors(word, expected):
     assert porter.stem(word) == expected
+
+
+def test_memoised_stem_equals_unmemoised():
+    unmemoised = porter.stem.__wrapped__
+    for word, _ in STEM_VECTORS:
+        assert porter.stem(word) == unmemoised(word)
+    rng = random.Random(5)
+    for _ in range(2000):
+        word = "".join(rng.choices(string.ascii_lowercase, k=rng.randint(1, 14)))
+        assert porter.stem(word) == unmemoised(word)
+    assert porter.stem.cache_info().maxsize == porter.STEM_CACHE_SIZE <= 1 << 14
 
 
 def test_stem_short_words_untouched():
