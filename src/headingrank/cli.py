@@ -30,9 +30,8 @@ from .ltr import (CaConfig, FeatureVector, assemble_feature_table,
                   cross_validate, save_model)
 from .methods import (InvalidCombinationError, MethodEngine, MethodParams,
                       VALID_COMBINATIONS)
-from .semvec import (CachingLinker, EmbeddingStore, EntityLinker, EntityStats,
-                     build_entity_stats, load_embeddings, load_entity_stats,
-                     load_gazetteer)
+from .semvec import (CachingLinker, build_entity_stats, load_embeddings,
+                     load_entity_stats, load_gazetteer)
 from .textproc import DEFAULT_CONFIG, TokenPipelineConfig, load_stopwords
 from .utils import derive_seed
 
@@ -65,71 +64,43 @@ def _method_params(args: argparse.Namespace, method: str,
     )
 
 
-def _needs_embeddings(params: MethodParams) -> bool:
-    return params.method in ("glove-cs", "entity-cs")
+def _load_resources(args: argparse.Namespace, texts: Mapping[str, str],
+                    scorers: Sequence[tuple[str, MethodParams]]) -> dict[str, object]:
+    """MethodEngine keyword arguments holding every resource a scorer needs.
 
-
-def _needs_linker(params: MethodParams) -> bool:
-    return params.method == "entity-cs" or params.expansion == "ent-rm1"
-
-
-def _check_resources(args: argparse.Namespace, params: MethodParams,
-                     scorer: str) -> None:
-    """Reject a scorer whose --embeddings or --gazetteer was not given."""
-    if _needs_embeddings(params) and not args.embeddings:
-        raise CliInputError(f"{scorer} requires --embeddings")
-    if _needs_linker(params) and not args.gazetteer:
-        raise CliInputError(f"{scorer} requires --gazetteer")
-
-
-class _Resources:
-    """Lazily loaded semantic resources shared across engines; callers
-    have checked the flags they need with _check_resources."""
-
-    def __init__(self, args: argparse.Namespace, texts: Mapping[str, str]):
-        self._args = args
-        self._texts = texts
-        self._embeddings: EmbeddingStore | None = None
-        self._linker: EntityLinker | None = None
-        self._stats: EntityStats | None = None
-
-    def embeddings(self) -> EmbeddingStore:
-        if self._embeddings is None:
-            self._embeddings = load_embeddings(self._args.embeddings)
-        return self._embeddings
-
-    def linker(self) -> EntityLinker:
-        if self._linker is None:
-            self._linker = CachingLinker(load_gazetteer(self._args.gazetteer))
-        return self._linker
-
-    def entity_stats(self) -> EntityStats:
-        if self._stats is None:
-            if getattr(self._args, "entity_stats", None):
-                self._stats = load_entity_stats(self._args.entity_stats)
-            else:
-                self._stats = build_entity_stats(self._texts, self.linker())
-        return self._stats
+    Rejects a scorer whose --embeddings or --gazetteer was not given,
+    then loads each needed resource once, so a command meets a missing
+    flag or a malformed file before it writes anything. Entity link
+    statistics come from --entity-stats or, without it, from the corpus.
+    """
+    for name, params in scorers:
+        if params.needs_embeddings and not args.embeddings:
+            raise CliInputError(f"{name} requires --embeddings")
+        if params.needs_linker and not args.gazetteer:
+            raise CliInputError(f"{name} requires --gazetteer")
+    res: dict[str, object] = {}
+    if any(params.needs_embeddings for _, params in scorers):
+        res["embeddings"] = load_embeddings(args.embeddings)
+    if any(params.needs_linker for _, params in scorers):
+        res["linker"] = CachingLinker(load_gazetteer(args.gazetteer))
+    if any(params.method == "entity-cs" for _, params in scorers):
+        res["entity_stats"] = (load_entity_stats(args.entity_stats)
+                               if args.entity_stats
+                               else build_entity_stats(texts, res["linker"]))
+    return res
 
 
 def _build_engine(params: MethodParams, ix: Index, texts: Mapping[str, str],
-                  res: _Resources, corpus: Corpus,
+                  res: Mapping[str, object], corpus: Corpus,
                   folds: FoldAssignment | None) -> tuple[MethodEngine, dict[int, object] | None]:
     """Engine plus, for Rocchio, the per-held-out-fold support indexes."""
-    kwargs: dict = {}
-    if _needs_embeddings(params):
-        kwargs["embeddings"] = res.embeddings()
-    if _needs_linker(params):
-        kwargs["linker"] = res.linker()
-    if params.method == "entity-cs":
-        kwargs["entity_stats"] = res.entity_stats()
     supports = None
     if params.expansion == "rocchio":
         assert folds is not None
         supports = {f: build_heading_support(corpus, folds, f)
                     for f in range(folds.k)}
-        kwargs["support"] = supports[0]
-    engine = MethodEngine(ix, texts, params=params, **kwargs)
+    engine = MethodEngine(ix, texts, params=params,
+                          support=supports[0] if supports else None, **res)
     return engine, supports
 
 
@@ -217,9 +188,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     ix = _corpus_index(args, texts, cfg)
     queries = all_queries(corpus, cfg)
     params = _method_params(args, args.method, args.expansion)
-    _check_resources(args, params, args.method if args.expansion == "none"
-                     else f"{args.method}+{args.expansion}")
-    res = _Resources(args, texts)
+    scorer = (args.method if args.expansion == "none"
+              else f"{args.method}+{args.expansion}")
+    res = _load_resources(args, texts, [(scorer, params)])
     folds = (assign_folds(corpus, args.ltr_folds, args.seed)
              if params.expansion == "rocchio" else None)
     engine, supports = _build_engine(params, ix, texts, res, corpus, folds)
@@ -293,9 +264,8 @@ def _parse_scorers(args: argparse.Namespace) -> list[tuple[str, MethodParams]]:
     out: list[tuple[str, MethodParams]] = []
     for spec in specs:
         method, _, expansion = spec.partition("+")
-        params = _method_params(args, method.strip(), expansion.strip() or "none")
-        _check_resources(args, params, spec)
-        out.append((spec, params))
+        out.append((spec, _method_params(args, method.strip(),
+                                         expansion.strip() or "none")))
     names = [n for n, _ in out]
     if len(set(names)) != len(names):
         raise CliInputError("duplicate scorer in --scorers")
@@ -326,6 +296,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                       restarts=args.restarts, iterations=args.iterations)
     scorers = _parse_scorers(args)
     texts = _texts(corpus)
+    res = _load_resources(args, texts, scorers)
     cfg = _token_config(args)
     ix = _corpus_index(args, texts, cfg)
     queries = sorted(all_queries(corpus, cfg), key=lambda q: q.query_id)
@@ -353,7 +324,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     candidates = generate_candidates(ix, queries, k=args.candidate_k)
     write_candidates(candidates, str(out_dir / "candidates.tsv"))
 
-    res = _Resources(args, texts)
     runs: list[RunFile] = []
     reports_by_name: dict[str, object] = {}
     for name, params in scorers:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .corpus import Corpus, HeadingQuery, Page, iter_sections, section_query_id
-from .index import Bm25Params, Index, bm25_score, retrieve_topk
+from .index import (Bm25Params, Index, bm25_scores, matching_paragraphs,
+                    rank_items)
 from .utils import derive_seed
 
 PROVENANCE_TRUE = "true-section"
@@ -194,10 +195,9 @@ def generate_candidates(ix: Index, queries: Sequence[HeadingQuery], k: int = 100
         raise ValueError("k must be >= 1")
     sets: dict[str, CandidateSet] = {}
     for query in queries:
-        ranking = retrieve_topk(
-            ix, lambda terms, pid: bm25_score(ix, terms, pid, params),
-            query.terms, k, query_id=query.query_id)
-        pids = tuple(ranking.paragraph_ids())
+        scores = bm25_scores(ix, [(t, 1.0) for t in query.terms],
+                             matching_paragraphs(ix, query.terms), params)
+        pids = tuple(rank_items(query.query_id, scores, k).paragraph_ids())
         sets[query.query_id] = CandidateSet(
             query_id=query.query_id,
             paragraph_ids=pids,

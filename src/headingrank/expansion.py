@@ -12,15 +12,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, FoldAssignment, HeadingQuery, iter_sections
 from .index import (Index, SparseVector, lm_dirichlet_scores, matching_paragraphs,
                     rank_items, tfidf_idf)
-from .semvec import (DenseVector, EmbeddingStore, EntityLinker, EntityStats,
-                     LinkerError, entity_vector, normalized)
+from .semvec import (DenseVector, EmbeddingStore, EntityLinker, LinkerError,
+                     entity_vector, normalized)
 from .textproc import heading_key
 
 log = logging.getLogger(__name__)
@@ -282,37 +282,23 @@ def term_feedback_vector(terms: Sequence[WeightedTerm], ix: Index) -> SparseVect
     return SparseVector(entries=entries)
 
 
-def term_feedback_dense(terms: Sequence[WeightedTerm], store: EmbeddingStore,
-                        ix: Index) -> DenseVector:
-    """Feedback terms mapped into the word-embedding space."""
+def dense_feedback_vector(pairs: Iterable[tuple[str, float]], store: EmbeddingStore,
+                          doc_freq: Mapping[str, int], n_docs: int) -> DenseVector:
+    """Weighted feedback terms or entities mapped into the embedding space.
+
+    Sums weight * idf * vector over the (key, weight) pairs, skipping a
+    key without a vector or with idf 0; empty when nothing was added.
+    """
     acc = np.zeros(store.dim, dtype=np.float64)
     covered = False
-    for wt in terms:
-        vec = store.get(wt.term)
+    for key, weight in pairs:
+        vec = store.get(key)
         if vec is None:
             continue
-        idf = tfidf_idf(ix.doc_freq, ix.n_docs, wt.term)
+        idf = tfidf_idf(doc_freq, n_docs, key)
         if idf == 0.0:
             continue
-        acc += wt.weight * idf * vec
-        covered = True
-    return DenseVector(values=acc, empty=not covered)
-
-
-def entity_feedback_vector(entities: Sequence[WeightedEntity],
-                           store: EmbeddingStore,
-                           stats: EntityStats) -> DenseVector:
-    """Feedback entities mapped into the entity-embedding space."""
-    acc = np.zeros(store.dim, dtype=np.float64)
-    covered = False
-    for we in entities:
-        vec = store.get(we.entity_id)
-        if vec is None:
-            continue
-        idf = tfidf_idf(stats.link_doc_freq, stats.n_docs, we.entity_id)
-        if idf == 0.0:
-            continue
-        acc += we.weight * idf * vec
+        acc += weight * idf * vec
         covered = True
     return DenseVector(values=acc, empty=not covered)
 

@@ -1,7 +1,8 @@
 """Immutable inverted index and the lexical scorers built on it.
 
 Scoring functions:
-  - bm25_score: Okapi BM25 with a positive idf, ln(1 + (N+0.5)/(df+0.5)).
+  - bm25_scores: Okapi BM25 of a pool, with a positive idf,
+    ln(1 + (N+0.5)/(df+0.5)); bm25_score is one paragraph of it.
   - tfidf_vector: logarithmic L2-normalized TF-IDF, (1+ln tf) * ln(N/df).
   - lm_dirichlet_scores: Dirichlet-smoothed query log-likelihood of a pool.
 
@@ -9,9 +10,9 @@ All logs are natural; cosine and argmax ranking are invariant to the
 base anyway. Ties in rankings always break by ascending paragraph id.
 
 Whatever does not depend on the paragraph is computed once per query,
-not once per (query, paragraph) pair: BM25 callers look up each term's
-idf once (bm25_weight is the per-pair formula), and
-lm_dirichlet_scores computes each term's smoothing mass once per pool.
+not once per (query, paragraph) pair: bm25_scores looks up each term's
+idf once per pool, and lm_dirichlet_scores computes each term's
+smoothing mass once per pool.
 A SparseVector computes its norm once, on first use, and keeps it, and
 an Index builds its per-paragraph term counts (doc_tf) the same way, so
 building and saving an index never pays for them.
@@ -151,34 +152,41 @@ def bm25_idf(ix: Index, term: str) -> float:
     return math.log(1.0 + (ix.n_docs + 0.5) / (df + 0.5))
 
 
-def bm25_length_norm(ix: Index, paragraph_id: str, params: Bm25Params) -> float:
-    """1 - b + b * |d| / avgdl."""
-    return 1.0 - params.b + params.b * ix.doc_lengths[paragraph_id] / ix.avg_doc_len
+def bm25_scores(ix: Index, weighted_terms: Iterable[tuple[str, float]],
+                paragraph_ids: Iterable[str],
+                params: Bm25Params = Bm25Params()) -> dict[str, float]:
+    """Okapi BM25 of each paragraph in a pool.
 
-
-def bm25_weight(idf: float, tf: int, length_norm: float,
-                params: Bm25Params) -> float:
-    """One term's BM25 contribution from its parts (0 when tf is 0)."""
-    if tf == 0:
-        return 0.0
-    return idf * tf * (params.k1 + 1.0) / (tf + params.k1 * length_norm)
-
-
-def bm25_term_score(ix: Index, term: str, paragraph_id: str,
-                    params: Bm25Params) -> float:
-    """One term's BM25 contribution (0 when the term misses the doc)."""
-    tf = ix.doc_tf[paragraph_id].get(term, 0)
-    if tf == 0:
-        return 0.0
-    return bm25_weight(bm25_idf(ix, term), tf,
-                       bm25_length_norm(ix, paragraph_id, params), params)
+    A paragraph's score sums w * weight(t) over the (term, w) pairs in
+    the order given, where weight(t) = idf * tf * (k1 + 1) /
+    (tf + k1 * (1 - b + b * |d| / avgdl)) and terms missing from the
+    paragraph add nothing. A repeated term counts once per pair. Each
+    pair's idf is looked up once for the whole pool and each
+    paragraph's length norm once.
+    """
+    k1, b = params.k1, params.b
+    k1_plus_1 = k1 + 1.0
+    terms = [(t, w, bm25_idf(ix, t)) for t, w in weighted_terms]
+    scores: dict[str, float] = {}
+    for pid in paragraph_ids:
+        ix.require(pid)
+        doc = ix.doc_tf[pid]
+        score = 0.0
+        # a tokenless paragraph matches no term, and avg_doc_len may be 0
+        if doc:
+            length_norm = 1.0 - b + b * ix.doc_lengths[pid] / ix.avg_doc_len
+            for t, w, idf in terms:
+                tf = doc.get(t, 0)
+                if tf:
+                    score += w * (idf * tf * k1_plus_1 / (tf + k1 * length_norm))
+        scores[pid] = score
+    return scores
 
 
 def bm25_score(ix: Index, q: Sequence[str], paragraph_id: str,
                params: Bm25Params = Bm25Params()) -> float:
-    """Okapi BM25; query terms count with multiplicity."""
-    ix.require(paragraph_id)
-    return sum(bm25_term_score(ix, t, paragraph_id, params) for t in q)
+    """Okapi BM25 of one paragraph; query terms count with multiplicity."""
+    return bm25_scores(ix, [(t, 1.0) for t in q], [paragraph_id], params)[paragraph_id]
 
 
 def tfidf_vector(ix: Index, bag: Sequence[str] | Mapping[str, int]) -> SparseVector:

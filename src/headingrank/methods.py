@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import HeadingQuery
-from .expansion import (ExpandedQuery, HeadingSupportIndex, entity_feedback_vector,
+from .expansion import (ExpandedQuery, HeadingSupportIndex, dense_feedback_vector,
                         expand_entities, expand_rm3, mix_vectors,
                         mixed_term_weights, rm1_entities, rm1_terms,
-                        rocchio_expand, term_feedback_dense, term_feedback_vector)
-from .index import (Bm25Params, Index, Ranking, SparseVector, bm25_idf,
-                    bm25_length_norm, bm25_weight, matching_paragraphs,
-                    rank_items, tfidf_vector)
+                        rocchio_expand, term_feedback_vector)
+from .index import (Bm25Params, Index, Ranking, SparseVector, bm25_scores,
+                    matching_paragraphs, rank_items, tfidf_vector)
 from .semvec import (DenseVector, EmbeddingStore, EntityLinker, EntityStats,
                      LinkerError, cosine, entity_vector, text_vector)
 
@@ -78,6 +77,16 @@ class MethodParams:
     def bm25_params(self) -> Bm25Params:
         return Bm25Params(k1=self.k1, b=self.b)
 
+    # What the scorer needs besides the index and the texts. The
+    # entity-cs method also needs entity link statistics.
+    @property
+    def needs_embeddings(self) -> bool:
+        return self.method in ("glove-cs", "entity-cs")
+
+    @property
+    def needs_linker(self) -> bool:
+        return self.method == "entity-cs" or self.expansion == "ent-rm1"
+
 
 class MethodEngine:
     """Scores heading queries with one (method, expansion) combination.
@@ -106,15 +115,12 @@ class MethodEngine:
 
     def _check_resources(self) -> None:
         p = self.params
-        if p.method in ("glove-cs", "entity-cs") and self.embeddings is None:
+        if p.needs_embeddings and self.embeddings is None:
             raise ValueError(f"method {p.method!r} requires an embedding store")
-        if p.method == "entity-cs":
-            if self.linker is None:
-                raise ValueError("method 'entity-cs' requires an entity linker")
-            if self.entity_stats is None:
-                raise ValueError("method 'entity-cs' requires entity link statistics")
-        if p.expansion == "ent-rm1" and self.linker is None:
-            raise ValueError("expansion 'ent-rm1' requires an entity linker")
+        if p.needs_linker and self.linker is None:
+            raise ValueError(f"method {p.method!r} requires an entity linker")
+        if p.method == "entity-cs" and self.entity_stats is None:
+            raise ValueError("method 'entity-cs' requires entity link statistics")
         if p.expansion == "rocchio" and self.support is None:
             log.warning("no heading support index supplied; "
                         "rocchio falls back to query-only ranking")
@@ -198,11 +204,15 @@ class MethodEngine:
                 return term_feedback_vector(eq.added_terms, self.ix)
             if p.method == "glove-cs":
                 assert self.embeddings is not None
-                return term_feedback_dense(eq.added_terms, self.embeddings, self.ix)
+                return dense_feedback_vector(
+                    ((wt.term, wt.weight) for wt in eq.added_terms),
+                    self.embeddings, self.ix.doc_freq, self.ix.n_docs)
         if eq.added_entities and p.method == "entity-cs":
             assert self.embeddings is not None and self.entity_stats is not None
-            return entity_feedback_vector(eq.added_entities, self.embeddings,
-                                          self.entity_stats)
+            stats = self.entity_stats
+            return dense_feedback_vector(
+                ((we.entity_id, we.weight) for we in eq.added_entities),
+                self.embeddings, stats.link_doc_freq, stats.n_docs)
         return None
 
     # --- scoring --------------------------------------------------------
@@ -223,25 +233,12 @@ class MethodEngine:
         else:
             pool = self._match_pool(eq)
         if self.params.method == "bm25":
-            ix = self.ix
-            bm = self.params.bm25_params()
-            terms = [(t, w, bm25_idf(ix, t))
-                     for t, w in mixed_term_weights(eq).items()]
-
-            def score(pid: str) -> float:
-                doc = ix.doc_tf[pid]
-                # an empty paragraph matches no term, and avg_doc_len may be 0
-                length_norm = bm25_length_norm(ix, pid, bm) if doc else 0.0
-                return sum(w * bm25_weight(idf, doc.get(t, 0), length_norm, bm)
-                           for t, w, idf in terms)
+            scored = bm25_scores(self.ix, mixed_term_weights(eq).items(), pool,
+                                 self.params.bm25_params())
         else:
             mixed = mix_vectors(self._query_vector(query),
                                 self._feedback_vector(eq), eq.interpolation)
-
-            def score(pid: str) -> float:
-                return cosine(mixed, self.doc_vector(pid))
-
-        scored = {pid: score(pid) for pid in pool}
+            scored = {pid: cosine(mixed, self.doc_vector(pid)) for pid in pool}
         return rank_items(query.query_id, scored,
                           k if candidates is None else None)
 

@@ -71,15 +71,11 @@ def tokenize(text: str, cfg: TokenPipelineConfig = DEFAULT_CONFIG) -> list[str]:
     return out
 
 
-def normalize_heading(heading: str, stopwords: frozenset[str] | None = None) -> list[str]:
+def normalize_heading(heading: str) -> list[str]:
     """Token list used as the same-heading match key (stem on, digits dropped)."""
-    if stopwords is None:
-        cfg = HEADING_CONFIG
-    else:
-        cfg = TokenPipelineConfig(stopwords=stopwords, stem=True, drop_digits=True)
-    return tokenize(heading, cfg)
+    return tokenize(heading, HEADING_CONFIG)
 
 
-def heading_key(heading: str, stopwords: frozenset[str] | None = None) -> str:
+def heading_key(heading: str) -> str:
     """normalize_heading joined by single spaces."""
-    return " ".join(normalize_heading(heading, stopwords))
+    return " ".join(normalize_heading(heading))

@@ -479,6 +479,31 @@ def test_pipeline_rejects_missing_resource_before_writing(
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("scorer, flag, content", [
+    ("glove-cs", "embeddings", "w0 1.0 one\n"),
+    ("entity-cs", "gazetteer", "surface without a tab\n"),
+    ("entity-cs", "entity-stats", "E_w0\t3\n"),
+    ("glove-cs", "embeddings", None),
+])
+def test_pipeline_rejects_bad_resource_file_before_writing(
+        corpus_path, tmp_path, capsys, scorer, flag, content):
+    # bm25 runs first, so a resource loaded inside the scoring loop
+    # would fail only after qrels, candidates and bm25's run were written
+    paths = write_fixture(SynthSpec(pages=2, seed=2), str(tmp_path / "fx"))
+    bad = tmp_path / f"bad-{flag}.txt"
+    if content is not None:
+        bad.write_text(content, encoding="utf-8")
+    given = {"embeddings": paths["embeddings"], "gazetteer": paths["gazetteer"],
+             flag: str(bad)}
+    resource_args = [f"--{name}={path}" for name, path in given.items()]
+    out_dir = tmp_path / "exp"
+    assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
+                   "--scorers", f"bm25,{scorer}", *resource_args,
+                   *PIPELINE_ARGS) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(out_dir.iterdir()) == []
+
+
 def test_pipeline_external_name_collision_exits_2(corpus_path, tmp_path, capsys):
     ext = tmp_path / "external.txt"
     run_cli("run", "--corpus", corpus_path, "--run-name", "bm25", "--out", ext)

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 import pytest
 
 from headingrank import envgen
-from headingrank.corpus import all_queries, derive_qrels, iter_sections
+from headingrank.corpus import HeadingQuery, all_queries, derive_qrels, iter_sections
 from headingrank.envgen import (
     PROVENANCE_OTHER,
     PROVENANCE_RETRIEVED,
@@ -22,9 +22,10 @@ from headingrank.envgen import (
     read_candidates,
     write_candidates,
 )
-from headingrank.index import bm25_score, retrieve_topk
+from headingrank.index import Bm25Params, bm25_score, rank_items, retrieve_topk
 
-from conftest import PLAIN_CFG, corpus_from_pages, page, plain_index, section
+from conftest import (PLAIN_CFG, corpus_from_pages, page, plain_index,
+                      ref_bm25_term_score, section)
 
 
 def _env_corpus(n_pages=4, paras_per_section=2, sections=3):
@@ -352,6 +353,51 @@ def test_generate_candidates_matches_topk():
         assert list(cs.paragraph_ids) == expected.paragraph_ids()
         assert all(v == PROVENANCE_RETRIEVED for v in cs.provenance.values())
         assert len(cs.paragraph_ids) <= 5
+
+
+def test_candidates_match_per_occurrence_bm25_with_repeated_terms(monkeypatch):
+    # The oracle sums one per-pair BM25 term score per query-term
+    # occurrence and ranks through retrieve_topk, so pools and scores
+    # must agree bitwise when a query repeats a term, holds a term the
+    # index never saw, or meets a paragraph without tokens. Summing a
+    # repeated term once, weighted by its count, rounds differently.
+    ranked = {}
+
+    def recording_rank_items(query_id, scored, k=None):
+        ranked[query_id] = dict(scored)
+        return rank_items(query_id, scored, k)
+
+    monkeypatch.setattr(envgen, "rank_items", recording_rank_items)
+    rng = random.Random(77)
+    words = [f"w{i}" for i in range(8)]
+    for trial in range(60):
+        texts = {f"p{i:03d}": " ".join(rng.choices(words, k=rng.randint(1, 10)))
+                 for i in range(rng.randint(2, 30))}
+        if trial % 3 == 0:
+            texts["p999"] = ""
+        ix = plain_index(texts)
+        params = Bm25Params(k1=rng.uniform(0.1, 3.0), b=rng.uniform(0.0, 1.0))
+        queries = []
+        for i in range(4):
+            terms = rng.choices(words + ["zz"], k=rng.randint(1, 4))
+            terms.append(rng.choice(terms))  # always one repeated term
+            rng.shuffle(terms)
+            queries.append(HeadingQuery(query_id=f"q{i}", raw_text=" ".join(terms),
+                                        terms=tuple(terms), page_id="pg",
+                                        heading="H", path=()))
+        k = rng.randint(1, len(texts))
+        sets = generate_candidates(ix, queries, k=k, params=params)
+        for q in queries:
+            def per_occurrence(terms, pid):
+                return sum(ref_bm25_term_score(ix, t, pid, params) for t in terms)
+            everything = retrieve_topk(ix, per_occurrence, q.terms, len(texts),
+                                       query_id=q.query_id)
+            assert ranked[q.query_id] == dict(everything.items)
+            assert list(sets[q.query_id].paragraph_ids) == \
+                everything.paragraph_ids()[:k]
+            for pid in texts:
+                assert bm25_score(ix, q.terms, pid, params) == \
+                    per_occurrence(q.terms, pid)
 
 
 def test_generate_candidates_k_one_and_validation():

@@ -15,7 +15,7 @@ from headingrank.expansion import (
     WeightedTerm,
     _feedback_docs,
     build_heading_support,
-    entity_feedback_vector,
+    dense_feedback_vector,
     expand_entities,
     expand_rm3,
     mix_vectors,
@@ -23,7 +23,6 @@ from headingrank.expansion import (
     rm1_entities,
     rm1_terms,
     rocchio_expand,
-    term_feedback_dense,
     term_feedback_vector,
 )
 from headingrank.index import SparseVector, bm25_score, rank_items, tfidf_vector
@@ -403,19 +402,19 @@ def test_term_feedback_vector_drops_idf_zero():
 def test_term_feedback_dense():
     ix = plain_index({"d1": "x y", "d2": "y z"})
     store = load_embeddings(["x 1.0 0.0", "z 0.0 1.0"])
-    vec = term_feedback_dense([WeightedTerm("x", 0.5), WeightedTerm("q", 0.5)],
-                              store, ix)
+    vec = dense_feedback_vector([("x", 0.5), ("q", 0.5)], store,
+                                ix.doc_freq, ix.n_docs)
     assert not vec.empty
     assert vec.values == pytest.approx([0.5 * math.log(2.0), 0.0])
-    empty = term_feedback_dense([WeightedTerm("q", 1.0)], store, ix)
+    empty = dense_feedback_vector([("q", 1.0)], store, ix.doc_freq, ix.n_docs)
     assert empty.empty
 
 
 def test_entity_feedback_vector():
     store = load_embeddings(["E1 1.0 0.0", "E2 0.0 2.0"])
     stats = EntityStats(link_doc_freq={"E1": 1, "E2": 4}, n_docs=4)
-    vec = entity_feedback_vector(
-        [WeightedEntity("E1", 0.7), WeightedEntity("E2", 0.3)], store, stats)
+    vec = dense_feedback_vector([("E1", 0.7), ("E2", 0.3)], store,
+                                stats.link_doc_freq, stats.n_docs)
     # E2 has idf 0 and contributes nothing.
     assert vec.values == pytest.approx([0.7 * math.log(4.0), 0.0])
 

@@ -21,7 +21,7 @@ from headingrank.index import (
     SparseVector,
     bm25_idf,
     bm25_score,
-    bm25_term_score,
+    bm25_scores,
     build_index,
     lm_dirichlet_scores,
     load_index,
@@ -231,7 +231,7 @@ def test_pool_scorers_match_per_pair_reference():
                 assert got[pid] == want
                 assert lm_dirichlet_scores(ix, q, [pid], mu)[pid] == want
                 for t in q:
-                    assert bm25_term_score(ix, t, pid, params) == \
+                    assert bm25_scores(ix, [(t, 1.0)], [pid], params)[pid] == \
                         ref_bm25_term_score(ix, t, pid, params)
 
 
@@ -241,6 +241,9 @@ def test_lm_pool_scorer_validates(three_doc_index):
     with pytest.raises(KeyError):
         lm_dirichlet_scores(three_doc_index, ["a"], ["d1", "ghost"])
     assert lm_dirichlet_scores(three_doc_index, ["a"], []) == {}
+    with pytest.raises(KeyError):
+        bm25_scores(three_doc_index, [("a", 1.0)], ["d1", "ghost"])
+    assert bm25_scores(three_doc_index, [("a", 1.0)], []) == {}
 
 
 def test_sparse_vector_keeps_norm_outside_its_fields():
