@@ -6,10 +6,12 @@ every requested method+expansion combination as a pipeline feature,
 cross-validates the linear fusion, and prints per-method MAP together
 with fused-vs-baseline significance. All artifacts land under
 --out-dir for inspection; rerunning with the same flags reproduces
-them byte for byte.
+them byte for byte. The peak resident memory of this process and of
+its largest fold worker goes to standard output only.
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -74,6 +76,12 @@ def main(argv=None):
     print((pipeline_dir / "significance.txt").read_text(encoding="utf-8"))
     print(f"finished in {time.perf_counter() - started:.1f}s; "
           f"artifacts under {pipeline_dir}")
+    # ru_maxrss is in KiB on Linux and in bytes on macOS; RUSAGE_CHILDREN
+    # reports the largest waited-for child, here a fold worker
+    unit = 2**20 if sys.platform == "darwin" else 2**10
+    parent, worker = (resource.getrusage(who).ru_maxrss / unit
+                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    print(f"peak RSS: parent {parent:.1f} MiB, largest worker process {worker:.1f} MiB")
     return 0
 
 

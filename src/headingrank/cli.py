@@ -16,18 +16,17 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .corpus import (Corpus, CorpusError, FoldAssignment, HeadingQuery,
+from .corpus import (Corpus, CorpusError, FoldAssignment, HeadingQuery, Qrels,
                      all_queries, assign_folds, derive_qrels, load_corpus,
                      read_qrels, write_qrels)
 from .envgen import (CandidateSet, EnvSpec, build_test_env, build_train_env,
                      generate_candidates, read_candidates, write_candidates)
-from .evaluation import (RunFile, RunFormatError, evaluate_run, format_metrics,
-                         format_p_value, paired_t_test, read_run,
+from .evaluation import (MetricsReport, RunFile, RunFormatError, evaluate_run,
+                         format_metrics, format_p_value, paired_t_test, read_run,
                          run_from_rankings, write_metrics, write_run)
 from .expansion import build_heading_support
 from .index import Index, Ranking, build_index, load_index, save_index
-from .ltr import (CaConfig, FeatureVector, assemble_feature_table,
-                  cross_validate, save_model)
+from .ltr import CaConfig, assemble_feature_table, cross_validate, save_model
 from .methods import (InvalidCombinationError, MethodEngine, MethodParams,
                       VALID_COMBINATIONS)
 from .semvec import (CachingLinker, build_entity_stats, load_embeddings,
@@ -272,20 +271,6 @@ def _parse_scorers(args: argparse.Namespace) -> list[tuple[str, MethodParams]]:
     return out
 
 
-def _drop_feature(table: Mapping[str, list[FeatureVector]],
-                  names: Sequence[str], drop: str) -> tuple[dict[str, list[FeatureVector]], list[str]]:
-    idx = list(names).index(drop)
-    kept = [n for n in names if n != drop]
-    out: dict[str, list[FeatureVector]] = {}
-    for qid, rows in table.items():
-        out[qid] = [
-            FeatureVector(r.query_id, r.paragraph_id,
-                          r.features[:idx] + r.features[idx + 1:])
-            for r in rows
-        ]
-    return out, kept
-
-
 def cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -325,28 +310,22 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     write_candidates(candidates, str(out_dir / "candidates.tsv"))
 
     runs: list[RunFile] = []
-    reports_by_name: dict[str, object] = {}
+    reports_by_name: dict[str, MetricsReport] = {}
     for name, params in scorers:
         engine, supports = _build_engine(params, ix, texts, res, corpus, folds)
-        rankings = _rank_queries(engine, queries, candidates, args.candidate_k,
-                                 folds, supports)
-        run = run_from_rankings(name, rankings)
-        runs.append(run)
-        write_run(run, str(out_dir / f"run-{_safe(name)}.txt"))
-        report = evaluate_run(run, qrels)
-        reports_by_name[name] = report
-        write_metrics(report, str(out_dir / f"metrics-{_safe(name)}.txt"))
+        runs.append(run_from_rankings(name, _rank_queries(
+            engine, queries, candidates, args.candidate_k, folds, supports)))
+        reports_by_name[name] = _write_scored(runs[-1], qrels, out_dir)
     if external is not None:
         runs.append(external)
 
     table = assemble_feature_table(runs)
+    # fusion reads only the table: free the runs before fold workers fork
+    del runs, external
     merged, fold_reports = cross_validate(table, qrels, feature_names,
                                           k=args.ltr_folds, cfg=ca_cfg,
                                           folds=folds)
-    fused = RunFile(name="fused", rankings=merged)
-    write_run(fused, str(out_dir / "run-fused.txt"))
-    fused_report = evaluate_run(fused, qrels)
-    write_metrics(fused_report, str(out_dir / "metrics-fused.txt"))
+    fused_report = _write_scored(RunFile("fused", merged), qrels, out_dir)
 
     with open(out_dir / "folds.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("fold\ttrain-queries\ttest-queries\ttrain-map\tweights\n")
@@ -358,8 +337,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     fused_ap = {q: v[0] for q, v in fused_report.per_query.items()}
     sig_lines = ["baseline\tmap\tfused-map\tmean-diff\tt\tp\tfused-worse"]
-    for name, _ in scorers:
-        report = reports_by_name[name]
+    for name, report in reports_by_name.items():
         ap = {q: v[0] for q, v in report.per_query.items()}
         result = paired_t_test(fused_ap, ap, alpha=args.alpha)
         sig_lines.append(
@@ -370,22 +348,28 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with open(out_dir / "significance.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(sig_lines) + "\n")
 
-    summary = [f"{name}\tMAP {reports_by_name[name].map:.6f}" for name, _ in scorers]
+    summary = [f"{name}\tMAP {report.map:.6f}" for name, report in reports_by_name.items()]
     summary.append(f"fused\tMAP {fused_report.map:.6f}")
 
     if args.without:
-        ab_table, ab_names = _drop_feature(table, feature_names, args.without)
-        ab_merged, _ = cross_validate(ab_table, qrels, ab_names,
-                                      k=args.ltr_folds, cfg=ca_cfg, folds=folds)
-        ab_run = RunFile(name=f"fused-wo-{args.without}", rankings=ab_merged)
-        tag = _safe(args.without)
-        write_run(ab_run, str(out_dir / f"run-fused-wo-{tag}.txt"))
-        ab_report = evaluate_run(ab_run, qrels)
-        write_metrics(ab_report, str(out_dir / f"metrics-fused-wo-{tag}.txt"))
+        ab_merged, _ = cross_validate(
+            table.without(feature_names.index(args.without)), qrels,
+            [n for n in feature_names if n != args.without],
+            k=args.ltr_folds, cfg=ca_cfg, folds=folds)
+        ab_report = _write_scored(RunFile(f"fused-wo-{args.without}", ab_merged),
+                                  qrels, out_dir)
         summary.append(f"fused-wo-{args.without}\tMAP {ab_report.map:.6f}")
 
     print("\n".join(summary))
     return 0
+
+
+def _write_scored(run: RunFile, qrels: Qrels, out_dir: Path) -> MetricsReport:
+    """Write run-<name>.txt and metrics-<name>.txt; return the metrics."""
+    write_run(run, str(out_dir / f"run-{_safe(run.name)}.txt"))
+    report = evaluate_run(run, qrels)
+    write_metrics(report, str(out_dir / f"metrics-{_safe(run.name)}.txt"))
+    return report
 
 
 def _safe(name: str) -> str:

@@ -24,9 +24,6 @@ class RunFile:
     name: str
     rankings: dict[str, Ranking]  # queryId -> ordered ranking
 
-    def queries(self) -> list[str]:
-        return sorted(self.rankings)
-
 
 @dataclass(frozen=True)
 class MetricsReport:

@@ -1,5 +1,5 @@
 """Linear learning-to-rank with coordinate ascent on mean average
-precision, plus the feature assembly and cross-validation around it.
+precision, plus the packed feature table and cross-validation around it.
 
 Feature values are per-query min-max normalized retrieval scores, so
 every feature lives in [0, 1] and queries with wildly different score
@@ -62,51 +62,83 @@ class CaConfig:
             raise ValueError("step sizes must be positive")
 
 
-def assemble_features(rankings: Sequence[Ranking], query_id: str) -> list[FeatureVector]:
-    """One feature row per paragraph any scorer returned for this query.
+class FeatureTable(Mapping[str, np.ndarray]):
+    """Every query's feature rows in one read-only (rows, features) matrix:
+    table[qid] is a query's contiguous block, a view of the matrix, and
+    table.paragraphs[qid] its rows' paragraph ids. rows gives each
+    query's slice; by default the queries lie end to end in that order."""
 
-    Each scorer's scores are min-max scaled to [0, 1] within the query;
-    a scorer with a single score value everywhere maps to 0.5, and a
-    paragraph a scorer never returned gets 0 for that feature. Rows
-    come back in ascending paragraph id.
-    """
-    score_maps: list[dict[str, float]] = []
-    pids: set[str] = set()
-    for ranking in rankings:
-        if ranking.query_id != query_id:
-            raise ValueError(
-                f"ranking for {ranking.query_id!r} passed to query {query_id!r}")
-        scores = dict(ranking.items)
-        score_maps.append(scores)
-        pids.update(scores)
-    scaled: list[dict[str, float]] = []
-    for scores in score_maps:
-        if not scores:
-            scaled.append({})
-            continue
-        lo = min(scores.values())
-        hi = max(scores.values())
-        if hi > lo:
-            scaled.append({p: (s - lo) / (hi - lo) for p, s in scores.items()})
-        else:
-            scaled.append({p: 0.5 for p in scores})
-    return [
-        FeatureVector(query_id, pid,
-                      tuple(m.get(pid, 0.0) for m in scaled))
-        for pid in sorted(pids)
-    ]
+    def __init__(self, matrix: np.ndarray, paragraphs: Mapping[str, Sequence[str]],
+                 rows: Mapping[str, slice] | None = None):
+        self.paragraphs = {q: tuple(pids) for q, pids in paragraphs.items()}
+        if rows is None:
+            ends = np.cumsum([0, *map(len, self.paragraphs.values())]).tolist()
+            rows = dict(zip(self.paragraphs, map(slice, ends, ends[1:])))
+        self._rows = dict(rows)
+        self._matrix = matrix
+        matrix.flags.writeable = False
+        self.n_features = matrix.shape[1]
+
+    def __getitem__(self, qid: str) -> np.ndarray:
+        return self._matrix[self._rows[qid]]
+
+    def __iter__(self):
+        return iter(self.paragraphs)
+
+    def __len__(self) -> int:
+        return len(self.paragraphs)
+
+    def select(self, query_ids: Sequence[str]) -> FeatureTable:
+        """These queries' rows, in the order given, sharing the matrix."""
+        return FeatureTable(self._matrix, {q: self.paragraphs[q] for q in query_ids},
+                            {q: self._rows[q] for q in query_ids})
+
+    def without(self, column: int) -> FeatureTable:
+        """A copy of this table less one feature column."""
+        return FeatureTable(np.delete(self._matrix, column, axis=1), self.paragraphs, self._rows)
 
 
-def assemble_feature_table(runs: Sequence[RunFile]) -> dict[str, list[FeatureVector]]:
-    """Assemble features for every query any run covers; one run = one feature."""
-    qids: set[str] = set()
-    for run in runs:
-        qids.update(run.queries())
-    table: dict[str, list[FeatureVector]] = {}
-    for qid in sorted(qids):
-        rankings = [run.rankings.get(qid, Ranking(qid, ())) for run in runs]
-        table[qid] = assemble_features(rankings, qid)
+def _as_table(table: FeatureTable | Mapping[str, Sequence[FeatureVector]],
+              n_features: int) -> FeatureTable:
+    """The table, or its FeatureVector rows packed in the order given;
+    rejects a row of any query that does not hold n_features values."""
+    if not isinstance(table, FeatureTable):
+        values = [fv.features for rows in table.values() for fv in rows]
+        if widths := {len(v) for v in values} - {n_features}:
+            raise ValueError(f"a feature row has {min(widths)} values, expected {n_features}")
+        table = FeatureTable(np.array(values, dtype=np.float64).reshape(len(values), n_features),
+                             {q: [fv.paragraph_id for fv in rows] for q, rows in table.items()})
+    if table.n_features != n_features:
+        raise ValueError(f"a feature row has {table.n_features} values, expected {n_features}")
     return table
+
+
+def assemble_feature_table(runs: Sequence[RunFile]) -> FeatureTable:
+    """Feature rows for every query any run covers; one run = one feature.
+
+    Queries, and a query's rows (the paragraphs any run returned for
+    it), come in ascending id. Each run's scores are min-max scaled to
+    [0, 1] within the query; a run with a single score value everywhere
+    maps to 0.5, and a paragraph a run never returned gets 0.
+    """
+    paragraphs = {qid: sorted({pid for run in runs
+                               for pid, _ in run.rankings.get(qid, Ranking(qid, ())).items})
+                  for qid in sorted({q for run in runs for q in run.rankings})}
+    matrix = np.zeros((sum(map(len, paragraphs.values())), len(runs)))
+    start = 0
+    for qid, pids in paragraphs.items():
+        row_of = {pid: start + i for i, pid in enumerate(pids)}
+        start += len(pids)
+        for col, run in enumerate(runs):
+            ranking = run.rankings.get(qid, Ranking(qid, ()))
+            if ranking.query_id != qid:
+                raise ValueError(f"ranking for {ranking.query_id!r} passed to query {qid!r}")
+            scores = dict(ranking.items)
+            if scores:
+                lo, hi = min(scores.values()), max(scores.values())
+                matrix[[row_of[pid] for pid in scores], col] = (
+                    [(s - lo) / (hi - lo) for s in scores.values()] if hi > lo else 0.5)
+    return FeatureTable(matrix, paragraphs)
 
 
 # Most cells (trials x relevant rows x rows) one chunk of a batched MAP
@@ -119,40 +151,30 @@ _MAP_CHUNK_CELLS = 1 << 18
 class _PackedQueries:
     """Training queries as padded numpy tensors for fast MAP evaluation.
 
-    Rows within a query are in ascending paragraph id, matching the tie
-    rule used everywhere else. AP needs only the rank of each relevant
+    Query blocks are copied whole, rows in table order (ascending id, the
+    tie rule used everywhere else). AP needs only the rank of each relevant
     row: 1 + the rows scoring strictly higher + the rows scoring equal
     at a lower row index. Padding rows score -inf, so they never
     displace a real paragraph, and no query is ever fully sorted.
     """
 
-    def __init__(self, table: Mapping[str, Sequence[FeatureVector]], qrels: Qrels,
-                 n_features: int):
+    def __init__(self, table: FeatureTable, qrels: Qrels):
         qids = [q for q in sorted(table) if qrels.relevant(q)]
         if not qids:
             raise ValueError("no training query has a relevant paragraph")
-        self.query_ids = qids
-        max_docs = max((len(table[q]) for q in qids), default=0)
+        max_docs = max(len(table.paragraphs[q]) for q in qids)
         if max_docs == 0:
             raise ValueError("no feature rows for any training query")
         nq = len(qids)
-        self.features = np.zeros((nq, max_docs, n_features), dtype=np.float64)
+        self.features = np.zeros((nq, max_docs, table.n_features), dtype=np.float64)
         self.pad = np.ones((nq, max_docs), dtype=bool)
-        self.r_counts = np.zeros(nq, dtype=np.float64)
+        self.r_counts = np.array([len(qrels.relevant(q)) for q in qids], dtype=np.float64)
         rel_rows: list[tuple[int, int]] = []
         for qi, qid in enumerate(qids):
-            positives = qrels.relevant(qid)
-            self.r_counts[qi] = len(positives)
-            rows = table[qid]
-            for di, fv in enumerate(rows):
-                if len(fv.features) != n_features:
-                    raise ValueError(
-                        f"feature row for {qid!r} has {len(fv.features)} values, "
-                        f"expected {n_features}")
-                self.features[qi, di] = fv.features
-                self.pad[qi, di] = False
-                if fv.paragraph_id in positives:
-                    rel_rows.append((qi, di))
+            pids, positives = table.paragraphs[qid], qrels.relevant(qid)
+            self.features[qi, :len(pids)] = table[qid]
+            self.pad[qi, :len(pids)] = False
+            rel_rows.extend((qi, di) for di, pid in enumerate(pids) if pid in positives)
         # Flat (query, row) of every relevant row, grouped by query.
         rel = np.array(rel_rows, dtype=np.intp).reshape(-1, 2)
         self._rel_q, self._rel_d = rel.T.copy()
@@ -204,10 +226,10 @@ class _PackedQueries:
         return ap.mean(axis=-1)
 
 
-def training_map(model: LinearModel, table: Mapping[str, Sequence[FeatureVector]],
+def training_map(model: LinearModel, table: FeatureTable | Mapping[str, Sequence[FeatureVector]],
                  qrels: Qrels) -> float:
     """MAP of a linear model over the queries in the table that have positives."""
-    packed = _PackedQueries(table, qrels, len(model.feature_names))
+    packed = _PackedQueries(_as_table(table, len(model.feature_names)), qrels)
     return packed.mean_ap(np.array(model.weights, dtype=np.float64))
 
 
@@ -222,7 +244,7 @@ def _candidate_values(base: float, step_sizes: Sequence[float]) -> list[float]:
     return values
 
 
-def train_coordinate_ascent(table: Mapping[str, Sequence[FeatureVector]],
+def train_coordinate_ascent(table: FeatureTable | Mapping[str, Sequence[FeatureVector]],
                             qrels: Qrels,
                             feature_names: Sequence[str],
                             cfg: CaConfig = CaConfig()) -> LinearModel:
@@ -242,7 +264,7 @@ def train_coordinate_ascent(table: Mapping[str, Sequence[FeatureVector]],
     nf = len(feature_names)
     if nf == 0:
         raise ValueError("at least one feature required")
-    packed = _PackedQueries(table, qrels, nf)
+    packed = _PackedQueries(_as_table(table, nf), qrels)
     rng = np.random.default_rng(cfg.seed)
     starts = [np.eye(nf, dtype=np.float64)[i] for i in range(nf)]
     for _ in range(cfg.restarts):
@@ -311,7 +333,7 @@ _fold_inputs: tuple | None = None
 def _train_fold(fold: int) -> tuple[LinearModel, float]:
     """One fold's model, trained on its training queries, and its training MAP."""
     table, qrels, feature_names, train_queries, configs = _fold_inputs
-    train = {q: table[q] for q in train_queries[fold]}
+    train = table.select(train_queries[fold])
     model = train_coordinate_ascent(train, qrels, feature_names, configs[fold])
     return model, training_map(model, train, qrels)
 
@@ -340,7 +362,7 @@ def _fold_workers(k: int) -> int:
     return min(k, _usable_cpus())
 
 
-def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
+def cross_validate(table: FeatureTable | Mapping[str, Sequence[FeatureVector]],
                    qrels: Qrels,
                    feature_names: Sequence[str],
                    k: int = 5,
@@ -355,6 +377,7 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
     run covers every query exactly once. folds, if given, must have k
     folds and cover every query's page; by default the table's own
     pages are split by corpus.balanced_folds under the config seed.
+    FeatureVector rows are packed into a FeatureTable once, on entry.
 
     Folds train in up to min(k, usable CPUs) forked worker processes,
     which inherit the table and the other inputs through the fork; a
@@ -365,6 +388,7 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
     code is wrapped (see _fold_workers), the folds train in this
     process. A worker that dies raises BrokenProcessPool.
     """
+    table = _as_table(table, len(feature_names))
     qids = sorted(table)
     if folds is None:
         folds = balanced_folds(map(query_page, qids), k,
@@ -401,16 +425,11 @@ def cross_validate(table: Mapping[str, Sequence[FeatureVector]],
     reports: list[FoldReport] = []
     for f, (model, fold_train_map) in enumerate(trained):
         for qid in test_queries[f]:
-            scored = {fv.paragraph_id: model.score(fv.features)
-                      for fv in table[qid]}
-            merged[qid] = rank_items(qid, scored)
-        reports.append(FoldReport(
-            fold=f,
-            train_queries=tuple(train_queries[f]),
-            test_queries=tuple(test_queries[f]),
-            model=model,
-            train_map=fold_train_map,
-        ))
+            # LinearModel.score on Python floats, as on a FeatureVector row
+            merged[qid] = rank_items(qid, {pid: model.score(row) for pid, row in
+                                           zip(table.paragraphs[qid], table[qid].tolist())})
+        reports.append(FoldReport(f, tuple(train_queries[f]), tuple(test_queries[f]),
+                                  model, fold_train_map))
     return merged, reports
 
 

@@ -14,14 +14,14 @@ import pytest
 
 from headingrank import ltr
 from headingrank.corpus import FoldAssignment, Qrels, all_queries, assign_folds
-from headingrank.evaluation import RunFile, average_precision
+from headingrank.evaluation import RunFile, average_precision, write_run
 from headingrank.index import Ranking, rank_items
 from headingrank.ltr import (
     CaConfig,
+    FeatureTable,
     FeatureVector,
     LinearModel,
     assemble_feature_table,
-    assemble_features,
     cross_validate,
     load_model,
     save_model,
@@ -37,12 +37,23 @@ from conftest import (corpus_from_pages, exit_in_worker, needs_fork, page,
 
 # --- feature assembly -----------------------------------------------------
 
+def _one_query_table(*rankings):
+    """The feature table of runs r0, r1, ... holding these rankings of query q."""
+    return assemble_feature_table([RunFile(f"r{i}", {"q": r})
+                                   for i, r in enumerate(rankings)])
+
+
+def _rows(table, qid):
+    """Paragraph id -> feature tuple of one query's rows."""
+    return {pid: tuple(row) for pid, row in zip(table.paragraphs[qid], table[qid].tolist())}
+
+
 def test_assemble_union_and_minmax():
     bm25 = Ranking("q", (("pa", 10.0), ("pb", 5.0), ("pc", 0.0)))
     cs = Ranking("q", (("pb", 0.8), ("pd", 0.2)))
-    rows = assemble_features([bm25, cs], "q")
-    assert [r.paragraph_id for r in rows] == ["pa", "pb", "pc", "pd"]
-    by_id = {r.paragraph_id: r.features for r in rows}
+    table = _one_query_table(bm25, cs)
+    assert table.paragraphs["q"] == ("pa", "pb", "pc", "pd")
+    by_id = _rows(table, "q")
     assert by_id["pa"] == (1.0, 0.0)          # top of run 1, absent from run 2
     assert by_id["pb"] == (0.5, 1.0)
     assert by_id["pc"] == (0.0, 0.0)
@@ -52,15 +63,14 @@ def test_assemble_union_and_minmax():
 def test_assemble_constant_run_maps_to_half():
     flat = Ranking("q", (("pa", 3.0), ("pb", 3.0)))
     other = Ranking("q", (("pa", 1.0), ("pb", 0.0)))
-    rows = assemble_features([flat, other], "q")
-    by_id = {r.paragraph_id: r.features for r in rows}
+    by_id = _rows(_one_query_table(flat, other), "q")
     assert by_id["pa"] == (0.5, 1.0)
     assert by_id["pb"] == (0.5, 0.0)
 
 
 def test_assemble_rejects_foreign_query():
     with pytest.raises(ValueError, match="passed to query"):
-        assemble_features([Ranking("other", ())], "q")
+        _one_query_table(Ranking("other", ()))
 
 
 def test_assemble_feature_table_covers_all_queries():
@@ -68,9 +78,111 @@ def test_assemble_feature_table_covers_all_queries():
                           "q2": Ranking("q2", (("p2", 2.0),))})
     run_b = RunFile("b", {"q2": Ranking("q2", (("p3", 1.0),))})
     table = assemble_feature_table([run_a, run_b])
-    assert sorted(table) == ["q1", "q2"]
-    assert [fv.paragraph_id for fv in table["q2"]] == ["p2", "p3"]
-    assert all(len(fv.features) == 2 for q in table.values() for fv in q)
+    assert list(table) == ["q1", "q2"]
+    assert table.paragraphs["q2"] == ("p2", "p3")
+    assert all(block.shape == (len(table.paragraphs[q]), 2) for q, block in table.items())
+    assert sum(len(rows) for rows in table.values()) == 3  # rows, as perfbench counts them
+
+
+def test_feature_table_is_a_read_only_mapping_of_blocks():
+    table = ltr._as_table(_separable_table(nq=4)[0], 2)
+    with pytest.raises(ValueError, match="read-only"):
+        table["q1"][0, 0] = 5.0
+    train = table.select(["q3", "q1"])
+    assert list(train) == ["q3", "q1"] and train.paragraphs["q1"] == table.paragraphs["q1"]
+    assert np.shares_memory(train["q1"], table["q1"])  # a fold's table copies nothing
+    assert train["q1"].tolist() == table["q1"].tolist()
+    ablated = table.without(0)
+    assert ablated.n_features == 1
+    assert ablated["q2"].tolist() == table["q2"][:, 1:].tolist()
+
+
+def _reference_features(rankings, query_id):
+    """Row-object feature assembly, kept as the oracle of the packed table."""
+    score_maps = []
+    pids = set()
+    for ranking in rankings:
+        if ranking.query_id != query_id:
+            raise ValueError(
+                f"ranking for {ranking.query_id!r} passed to query {query_id!r}")
+        scores = dict(ranking.items)
+        score_maps.append(scores)
+        pids.update(scores)
+    scaled = []
+    for scores in score_maps:
+        if not scores:
+            scaled.append({})
+            continue
+        lo = min(scores.values())
+        hi = max(scores.values())
+        if hi > lo:
+            scaled.append({p: (s - lo) / (hi - lo) for p, s in scores.items()})
+        else:
+            scaled.append({p: 0.5 for p in scores})
+    return [FeatureVector(query_id, pid, tuple(m.get(pid, 0.0) for m in scaled))
+            for pid in sorted(pids)]
+
+
+def _random_runs(rng):
+    """Scorer runs over q0..q5 and an external run that alone has q-ext.
+
+    Scores mix exact ties, constants, negatives and wide magnitudes; a
+    run may leave out a query, give it an empty ranking, or miss some of
+    the paragraphs other runs return.
+    """
+    pool = [f"p{i:02d}" for i in range(14)]
+    runs = []
+    for r in range(rng.randint(1, 4)):
+        rankings = {}
+        for qi in range(6):
+            qid = f"q{qi}"
+            kind = rng.random()
+            if kind < 0.15:
+                continue                                  # query absent
+            if kind < 0.25:
+                rankings[qid] = Ranking(qid, ())          # empty ranking
+                continue
+            pids = rng.sample(pool, rng.randint(1, len(pool)))
+            if kind < 0.4:
+                value = rng.choice((0.0, 2.5, -1.0))      # constant run
+                scored = {p: value for p in pids}
+            else:
+                scale = rng.choice((1.0, 1e-9, 1e6, -3.0))
+                scored = {p: rng.choice((0.0, 1.0, 0.5, rng.uniform(-1, 1))) * scale
+                          for p in pids}
+            rankings[qid] = rank_items(qid, scored)
+        runs.append(RunFile(f"s{r}", rankings))
+    external = {"q-ext": Ranking("q-ext", (("p99", 0.25), ("p00", 0.125)))}
+    for qid in rng.sample([f"q{qi}" for qi in range(6)], 2):
+        external[qid] = rank_items(qid, {p: rng.random() for p in rng.sample(pool, 3)})
+    runs.append(RunFile("ext", external))
+    return runs
+
+
+def test_packed_table_is_the_row_object_assembly():
+    rng = random.Random(1105)
+    seen = set()
+    for _ in range(80):
+        runs = _random_runs(rng)
+        table = assemble_feature_table(runs)
+        qids = sorted({q for run in runs for q in run.rankings})
+        assert list(table) == qids
+        for qid in qids:
+            rankings = [run.rankings.get(qid, Ranking(qid, ())) for run in runs]
+            expected = _reference_features(rankings, qid)
+            assert table.paragraphs[qid] == tuple(fv.paragraph_id for fv in expected)
+            assert table[qid].dtype == np.float64
+            assert table[qid].shape == (len(expected), len(runs))
+            assert table[qid].tolist() == [list(fv.features) for fv in expected]
+            for ranking in rankings:
+                scores = [s for _, s in ranking.items]
+                seen.add("empty" if not scores else
+                         "constant" if len(set(scores)) == 1 else "scaled")
+                if scores and len(scores) < len(expected):
+                    seen.add("missing paragraph")
+            if sum(qid in run.rankings for run in runs) == 1:
+                seen.add("query of one run")
+    assert seen == {"empty", "constant", "scaled", "missing paragraph", "query of one run"}
 
 
 # --- model and config basics ------------------------------------------------
@@ -211,7 +323,7 @@ def test_mean_ap_is_bitwise_the_sorted_ranking_map():
         most_hits = max(most_hits, *(
             sum(fv.paragraph_id in qrels.relevant(qid) for fv in rows)
             for qid, rows in table.items()))
-        packed = _PackedQueries(table, qrels, nf)
+        packed = _PackedQueries(ltr._as_table(table, nf), qrels)
         oracle = _SortedMap(table, qrels, nf)
         batch = np.array([
             [rng.choice((0.0, 0.5, -0.5, 1.0, -1.0, rng.uniform(-1, 1)))
@@ -234,7 +346,7 @@ def test_chunked_mean_ap_is_bitwise_one_chunk(monkeypatch):
     for _ in range(40):
         nf = rng.randint(1, 4)
         table, qrels = _tied_table(rng, rng.randint(1, 12), nf)
-        packed = _PackedQueries(table, qrels, nf)
+        packed = _PackedQueries(ltr._as_table(table, nf), qrels)
         batch = np.array([[rng.choice((0.0, 0.5, -1.0, rng.uniform(-1, 1)))
                            for _ in range(nf)] for _ in range(rng.randint(1, 12))])
         whole = packed.mean_ap(batch)
@@ -324,7 +436,27 @@ def test_train_requires_features_and_positives():
     with pytest.raises(ValueError, match="at least one feature"):
         train_coordinate_ascent(table, qrels, ())
     with pytest.raises(ValueError, match="no training query"):
-        train_coordinate_ascent(table, Qrels(positives={}), ("f",))
+        train_coordinate_ascent(table, Qrels(positives={}), ("t", "n"))
+
+
+def test_every_query_rejects_wrong_width_rows():
+    # qx has no positive, so no training set ever holds it; only its
+    # test fold reads its rows
+    table, qrels = _separable_table(nq=6)
+    table["qx"] = [FeatureVector("qx", "pa", (1.0, 0.5, 0.0)),
+                   FeatureVector("qx", "pb", (1.0,))]
+    cfg = CaConfig(restarts=1, iterations=2)
+    with pytest.raises(ValueError, match="has 1 values, expected 2"):
+        cross_validate(table, qrels, ("t", "n"), k=2, cfg=cfg)
+    with pytest.raises(ValueError, match="expected 2"):
+        training_map(LinearModel(("t", "n"), (1.0, 0.0)), table, qrels)
+    del table["qx"]
+    packed = ltr._as_table(table, 2)
+    for names in (("t",), ("t", "n", "x")):
+        with pytest.raises(ValueError, match=f"has 2 values, expected {len(names)}"):
+            cross_validate(packed, qrels, names, k=2, cfg=cfg)
+        with pytest.raises(ValueError, match=f"has 2 values, expected {len(names)}"):
+            train_coordinate_ascent(packed, qrels, names, cfg)
 
 
 def test_trained_model_never_all_zero():
@@ -460,6 +592,34 @@ def test_cross_validate_scores_queries_without_positives():
     assert "q0" in merged
 
 
+def test_test_fold_scores_are_linear_model_scores(tmp_path):
+    # Feature "anti" is 0 on every relevant row and positive elsewhere, so
+    # the best models weight it negatively and score -0.0 products; "dead"
+    # is an all-zero column. Scores are compared bit for bit.
+    rng = random.Random(606)
+    negative_zero_products = 0
+    for trial in range(12):
+        table, qrels = _random_table(rng, nq=rng.randint(4, 9), nf=2)
+        table = {q: [FeatureVector(q, fv.paragraph_id, fv.features + (
+                        0.0 if fv.paragraph_id in qrels.relevant(q) else rng.uniform(0.2, 1.0),
+                        0.0)) for fv in rows] for q, rows in table.items()}
+        names = ("t", "n", "anti", "dead")
+        merged, reports = cross_validate(table, qrels, names, k=2,
+                                         cfg=CaConfig(seed=trial, restarts=2, iterations=3))
+        for rep in reports:
+            for qid in rep.test_queries:
+                expected = rank_items(qid, {fv.paragraph_id: rep.model.score(fv.features)
+                                            for fv in table[qid]})
+                assert [(p, s.hex()) for p, s in merged[qid].items] == \
+                    [(p, s.hex()) for p, s in expected.items]
+                negative_zero_products += sum(w < 0 and f == 0 for fv in table[qid]
+                                              for w, f in zip(rep.model.weights, fv.features))
+        path = tmp_path / f"run-fused-{trial}.txt"
+        write_run(RunFile("fused", merged), str(path))
+        assert all(line.split()[4] != "-0" for line in path.read_text().splitlines())
+    assert negative_zero_products > 0
+
+
 def test_cross_validate_validates_k():
     table, qrels = _separable_table(nq=4)
     with pytest.raises(ValueError):
@@ -589,10 +749,13 @@ def test_fold_tasks_get_an_index_and_never_pickle_a_feature_row(monkeypatch):
         return task(fold)
 
     def refuse(self, protocol):
-        raise pickle.PicklingError("a feature row was pickled")
+        raise pickle.PicklingError(f"a {type(self).__name__} was pickled")
 
     monkeypatch.setattr(ltr, "_train_fold", index_only)
     monkeypatch.setattr(FeatureVector, "__reduce_ex__", refuse)
+    monkeypatch.setattr(FeatureTable, "__reduce_ex__", refuse)
+    with pytest.raises(pickle.PicklingError, match="a FeatureTable was pickled"):
+        pickle.dumps(ltr._as_table(table, 2))
     pooled, in_process = _cross_validate_both_ways(
         monkeypatch, table, qrels, ("t", "n"), k=3, cfg=cfg)
     assert pooled == in_process == expected
@@ -640,8 +803,7 @@ def test_external_subset_fills_zero():
     internal = RunFile("a", {"q1": Ranking("q1", (("pa", 2.0), ("pb", 1.0)))})
     external = RunFile("x", {"q1": Ranking("q1", (("pa", 0.4),))})
     table = assemble_feature_table([internal, external])
-    by_id = {fv.paragraph_id: fv.features for fv in table["q1"]}
-    assert by_id["pb"][1] == 0.0
+    assert _rows(table, "q1")["pb"][1] == 0.0
 
 
 def test_model_file_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 """Smoke tests for the command-line scripts under scripts/."""
 
+import re
 import runpy
 from pathlib import Path
 
@@ -32,7 +33,13 @@ def test_run_experiments_small_grid(tmp_path, capsys):
     significance = tmp_path / "pipeline" / "significance.txt"
     assert significance.is_file()
     assert significance.read_text(encoding="utf-8").strip()
-    assert "fused vs. each baseline" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "fused vs. each baseline" in out
+    # memory goes to stdout, never into the out-dir
+    assert re.search(r"^peak RSS: parent \d+\.\d MiB, "
+                     r"largest worker process \d+\.\d MiB$", out, re.M)
+    assert not any("RSS" in p.read_text(encoding="utf-8")
+                   for p in tmp_path.rglob("*") if p.is_file())
 
 
 def test_run_experiments_rejects_more_folds_than_pages(tmp_path, capsys):
