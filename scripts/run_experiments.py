@@ -6,8 +6,9 @@ every requested method+expansion combination as a pipeline feature,
 cross-validates the linear fusion, and prints per-method MAP together
 with fused-vs-baseline significance. All artifacts land under
 --out-dir for inspection; rerunning with the same flags reproduces
-them byte for byte. The peak resident memory of this process and of
-its largest fold worker goes to standard output only.
+them byte for byte. The pipeline's own time, and the peak resident
+memory of this process and of its largest fold worker, go to standard
+output only.
 """
 
 import argparse
@@ -67,7 +68,9 @@ def main(argv=None):
             "--seed", str(args.seed)]
     if args.without:
         argv += ["--without", args.without]
+    cli_started = time.perf_counter()
     code = cli(argv)
+    cli_s = time.perf_counter() - cli_started
     if code != 0:
         return code
 
@@ -76,6 +79,7 @@ def main(argv=None):
     print((pipeline_dir / "significance.txt").read_text(encoding="utf-8"))
     print(f"finished in {time.perf_counter() - started:.1f}s; "
           f"artifacts under {pipeline_dir}")
+    print(f"pipeline: {cli_s:.2f} s")
     # ru_maxrss is in KiB on Linux and in bytes on macOS; RUSAGE_CHILDREN
     # reports the largest waited-for child, here a fold worker
     unit = 2**20 if sys.platform == "darwin" else 2**10

@@ -26,7 +26,7 @@ from .evaluation import (MetricsReport, RunFile, RunFormatError, evaluate_run,
                          run_from_rankings, write_metrics, write_run)
 from .expansion import build_heading_support
 from .index import Index, Ranking, build_index, load_index, save_index
-from .ltr import CaConfig, assemble_feature_table, cross_validate, save_model
+from .ltr import CaConfig, FeatureTable, assemble_feature_table, cross_validate, save_model
 from .methods import (InvalidCombinationError, MethodEngine, MethodParams,
                       VALID_COMBINATIONS)
 from .semvec import (CachingLinker, build_entity_stats, load_embeddings,
@@ -271,14 +271,12 @@ def _parse_scorers(args: argparse.Namespace) -> list[tuple[str, MethodParams]]:
     return out
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _score_features(args: argparse.Namespace, out_dir: Path) -> tuple[
+        FeatureTable, list[str], Qrels, FoldAssignment, dict[str, MetricsReport]]:
+    """Check the inputs, write qrels, candidates and scorer runs, return what
+    fusion reads; the corpus, index and engines die before fold workers fork."""
     corpus = load_corpus(args.corpus)
-    # every parameter and input is checked before the first file is written
     folds = assign_folds(corpus, args.ltr_folds, args.seed)
-    ca_cfg = CaConfig(seed=derive_seed(args.seed, "ltr"),
-                      restarts=args.restarts, iterations=args.iterations)
     scorers = _parse_scorers(args)
     texts = _texts(corpus)
     res = _load_resources(args, texts, scorers)
@@ -296,6 +294,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             {q: r.paragraph_ids() for q, r in external.rankings.items()},
             ix, {q.query_id for q in queries}, args.external_scores)
         feature_names.append(external.name)
+    if not feature_names:
+        raise CliInputError("at least one feature required")
     if args.without:
         if args.without not in feature_names:
             raise CliInputError(
@@ -318,10 +318,16 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         reports_by_name[name] = _write_scored(runs[-1], qrels, out_dir)
     if external is not None:
         runs.append(external)
+    return assemble_feature_table(runs), feature_names, qrels, folds, reports_by_name
 
-    table = assemble_feature_table(runs)
-    # fusion reads only the table: free the runs before fold workers fork
-    del runs, external
+
+def cmd_pipeline(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # every parameter and input is checked before the first file is written
+    ca_cfg = CaConfig(seed=derive_seed(args.seed, "ltr"),
+                      restarts=args.restarts, iterations=args.iterations)
+    table, feature_names, qrels, folds, reports_by_name = _score_features(args, out_dir)
     merged, fold_reports = cross_validate(table, qrels, feature_names,
                                           k=args.ltr_folds, cfg=ca_cfg,
                                           folds=folds)

@@ -6,7 +6,8 @@ every feature lives in [0, 1] and queries with wildly different score
 scales still contribute comparably. Training directly optimizes MAP:
 each coordinate in turn tries a fixed family of step moves and keeps
 the best strictly improving one, restarted from several deterministic
-and seeded starting points.
+and seeded starting points. Training trials and test folds are both
+scored by linear_scores, in feature order and with no BLAS call.
 """
 
 from __future__ import annotations
@@ -44,7 +45,31 @@ class LinearModel:
             raise ValueError("model weights must not all be zero")
 
     def score(self, features: Sequence[float]) -> float:
-        return float(sum(w * f for w, f in zip(self.weights, features)))
+        total = 0.0  # added in feature order, as linear_scores; sum() compensates from 3.12
+        for w, f in zip(self.weights, features, strict=True):
+            total += w * f
+        return float(total)
+
+
+def linear_scores(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Σⱼ weights[j]·columns[j] for columns (nf, ...) and weights (nf,) or a
+    batch of trials (T, nf): scores (...) or (T, ...), added in feature order
+    from +0.0 by elementwise ops, so with LinearModel.score's bits. A column
+    whose weight every trial shares is multiplied once per batch; ±0.0 count
+    as equal, since a running sum from +0.0 is never -0.0."""
+    trials = np.atleast_2d(weights)
+    shared = (trials == trials[0]).all(axis=0).tolist()
+    cells = np.shape(columns)[1:]
+    # flat cells: each product and sum is then one long run per trial
+    flat = np.reshape(columns, (len(columns), math.prod(cells)))
+    total = np.zeros(flat.shape[1])
+    for column, w, same in zip(flat, trials.T[..., None], shared, strict=True):
+        term = (w[0] if same else w) * column
+        # total + term to the bit (addition commutes), into a fresh array
+        total = np.add(term, total, out=term if term.ndim >= total.ndim else total)
+    if np.ndim(weights) == 2 and total.ndim == 1:  # no column's weights differ
+        total = np.repeat(total[None], len(trials), axis=0)
+    return total.reshape(trials.shape[:np.ndim(weights) - 1] + cells)
 
 
 @dataclass(frozen=True)
@@ -145,17 +170,19 @@ def assemble_feature_table(runs: Sequence[RunFile]) -> FeatureTable:
 # call compares at once. A chunk's temporaries, about 12 bytes a cell,
 # then stay near 3 MiB, the size that scored fastest at 50 and 200
 # pages; a 5-page sweep of 12 trials (about 16k cells) is one chunk.
+# The batch's scores, 8 bytes a trial, query and row, are made whole.
 _MAP_CHUNK_CELLS = 1 << 18
 
 
 class _PackedQueries:
     """Training queries as padded numpy tensors for fast MAP evaluation.
 
-    Query blocks are copied whole, rows in table order (ascending id, the
-    tie rule used everywhere else). AP needs only the rank of each relevant
-    row: 1 + the rows scoring strictly higher + the rows scoring equal
-    at a lower row index. Padding rows score -inf, so they never
-    displace a real paragraph, and no query is ever fully sorted.
+    Query blocks are copied whole into (features, queries, rows) columns,
+    rows in table order (ascending id, the tie rule used everywhere else),
+    and trial batches are scored by linear_scores. AP needs only the rank
+    of each relevant row: 1 + the rows scoring strictly higher + the rows
+    scoring equal at a lower row index. Padding rows score -inf, so they
+    never displace a real paragraph, and no query is ever fully sorted.
     """
 
     def __init__(self, table: FeatureTable, qrels: Qrels):
@@ -166,13 +193,13 @@ class _PackedQueries:
         if max_docs == 0:
             raise ValueError("no feature rows for any training query")
         nq = len(qids)
-        self.features = np.zeros((nq, max_docs, table.n_features), dtype=np.float64)
+        self.columns = np.zeros((table.n_features, nq, max_docs), dtype=np.float64)
         self.pad = np.ones((nq, max_docs), dtype=bool)
         self.r_counts = np.array([len(qrels.relevant(q)) for q in qids], dtype=np.float64)
         rel_rows: list[tuple[int, int]] = []
         for qi, qid in enumerate(qids):
             pids, positives = table.paragraphs[qid], qrels.relevant(qid)
-            self.features[qi, :len(pids)] = table[qid]
+            self.columns[:, qi, :len(pids)] = table[qid].T
             self.pad[qi, :len(pids)] = False
             rel_rows.extend((qi, di) for di, pid in enumerate(pids) if pid in positives)
         # Flat (query, row) of every relevant row, grouped by query.
@@ -195,25 +222,20 @@ class _PackedQueries:
 
         Bit-identical to sorting every query by score (stable, so ties
         keep ascending row order) and averaging precision at each hit.
-        A batch is scored in chunks of trials that compare at most
-        _MAP_CHUNK_CELLS cells; no trial's arithmetic depends on the
-        others in its chunk, so the chunking never changes a bit.
+        The batch is scored at once, then ranked in chunks of trials that
+        compare at most _MAP_CHUNK_CELLS cells; no trial's arithmetic
+        depends on the others in its chunk, so chunking never changes a bit.
         """
-        batch = np.atleast_2d(weights)
+        scores = linear_scores(self.columns, np.atleast_2d(weights))
+        scores[:, self.pad] = -np.inf
         cells = max(1, len(self._rel_q) * self.pad.shape[1])  # per trial
         step = max(1, _MAP_CHUNK_CELLS // cells)
-        maps = np.concatenate([self._chunk_map(batch[i:i + step])
-                               for i in range(0, len(batch), step)])
+        maps = np.concatenate([self._chunk_map(scores[i:i + step])
+                               for i in range(0, len(scores), step)])
         return float(maps[0]) if np.ndim(weights) == 1 else maps
 
-    def _chunk_map(self, batch: np.ndarray) -> np.ndarray:
-        """MAP of each row of a (T, nf) batch, all trials at once."""
-        scores = np.empty((len(batch),) + self.pad.shape)
-        for trial, w in enumerate(batch):
-            # features @ w, one trial at a time: a single gemm over the
-            # whole batch may round a score differently
-            np.matmul(self.features, w, out=scores[trial])
-        scores[:, self.pad] = -np.inf
+    def _chunk_map(self, scores: np.ndarray) -> np.ndarray:
+        """MAP of each trial's (queries, rows) scores in a (T, nq, rows) stack."""
         own = scores[:, self._rel_q, self._rel_d][..., None]
         rows = scores[:, self._rel_q]
         ranks = 1 + ((rows > own) | ((rows == own) & self._rel_lower)).sum(axis=-1)
@@ -221,7 +243,7 @@ class _PackedQueries:
         # Precision at each relevant rank, laid out as the sorted ranking
         # would hold it, so the sums below add the same terms in order.
         precision = np.zeros_like(scores)
-        precision[np.arange(len(batch))[:, None], self._rel_q, ranks - 1] = hits / ranks
+        precision[np.arange(len(scores))[:, None], self._rel_q, ranks - 1] = hits / ranks
         ap = precision.sum(axis=-1) / self.r_counts
         return ap.mean(axis=-1)
 
@@ -382,8 +404,10 @@ def cross_validate(table: FeatureTable | Mapping[str, Sequence[FeatureVector]],
     Folds train in up to min(k, usable CPUs) forked worker processes,
     which inherit the table and the other inputs through the fork; a
     task carries only its fold index, and folds are merged here in fold
-    order. A fold's arithmetic is the same in any process, so every
-    model, MAP and ranking is independent of the CPU count. With one
+    order. Test queries are scored by linear_scores, as training trials
+    are. A fold's arithmetic is the same in any process and makes no
+    BLAS call, so every model, MAP and ranking is independent of the CPU
+    count, BLAS build and CPU model. With one
     usable CPU, off Linux, before Python 3.11, or while a fold task's
     code is wrapped (see _fold_workers), the folds train in this
     process. A worker that dies raises BrokenProcessPool.
@@ -425,9 +449,8 @@ def cross_validate(table: FeatureTable | Mapping[str, Sequence[FeatureVector]],
     reports: list[FoldReport] = []
     for f, (model, fold_train_map) in enumerate(trained):
         for qid in test_queries[f]:
-            # LinearModel.score on Python floats, as on a FeatureVector row
-            merged[qid] = rank_items(qid, {pid: model.score(row) for pid, row in
-                                           zip(table.paragraphs[qid], table[qid].tolist())})
+            scores = linear_scores(table[qid].T, model.weights).tolist()
+            merged[qid] = rank_items(qid, dict(zip(table.paragraphs[qid], scores)))
         reports.append(FoldReport(f, tuple(train_queries[f]), tuple(test_queries[f]),
                                   model, fold_train_map))
     return merged, reports

@@ -1,17 +1,19 @@
 """Exercises every subcommand through main(): files, exit codes, determinism."""
 
+import gc
 import os
 import subprocess
 import sys
 
 import pytest
 
-from headingrank import ltr
+from headingrank import cli, ltr
 from headingrank.cli import main
 from headingrank.corpus import (all_queries, assign_folds, derive_qrels,
                                 load_corpus, write_corpus)
 from headingrank.envgen import read_candidates
 from headingrank.evaluation import read_run
+from headingrank.index import Index
 from headingrank.synth import SynthSpec, write_fixture
 
 from conftest import (corpus_from_pages, exit_in_worker, needs_fork, page,
@@ -395,6 +397,26 @@ def test_pipeline_folds_are_the_page_folds(tmp_path):
     assert [int(line.split("\t")[2]) for line in lines] == want
 
 
+def test_pipeline_fuses_after_the_scoring_stage_is_freed(corpus_path, tmp_path,
+                                                         monkeypatch):
+    # fold workers fork inside cross_validate; the index the scorers
+    # ranked with must be gone by then, or every worker inherits it
+    def live_indexes():
+        return sum(isinstance(o, Index) for o in gc.get_objects())
+
+    before = live_indexes()
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(live_indexes())
+        return ltr.cross_validate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cross_validate", spy)
+    assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", tmp_path / "exp",
+                   "--without", "bm25", *PIPELINE_ARGS) == 0
+    assert seen == [before, before]
+
+
 @needs_fork
 def test_pipeline_dead_fold_worker_exits_1(corpus_path, tmp_path, monkeypatch,
                                           capsys):
@@ -453,7 +475,7 @@ def test_pipeline_rejects_external_rows_outside_corpus(corpus_path, tmp_path,
 
 @pytest.mark.parametrize("flag", ["--restarts=0", "--iterations=0",
                                   "--ltr-folds=1", "--ltr-folds=7", "--mu=0",
-                                  "--scorers=bm25,glove-cs"])
+                                  "--scorers=bm25,glove-cs", "--scorers=,"])
 def test_pipeline_rejects_bad_parameters_before_writing(corpus_path, tmp_path,
                                                         capsys, flag):
     # the corpus has 6 pages; a repeated --ltr-folds takes the last value

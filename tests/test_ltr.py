@@ -1,10 +1,12 @@
 """Feature assembly, packed MAP evaluation, coordinate ascent, CV folds."""
 
 import functools
+import inspect
 import math
 import os
 import pickle
 import random
+import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -194,6 +196,14 @@ def test_linear_model_validation():
         LinearModel(feature_names=("a",), weights=(0.0,))
     m = LinearModel(feature_names=("a", "b"), weights=(2.0, -1.0))
     assert m.score((0.5, 1.0)) == pytest.approx(0.0)
+    # a row of the wrong width is an error, not truncated by zip
+    for row in ((0.5,), (0.5, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            m.score(row)
+    with pytest.raises(ValueError):
+        ltr.linear_scores(np.ones((1, 4)), m.weights)
+    with pytest.raises(ValueError):
+        ltr.linear_scores(np.ones((3, 4)), np.ones((5, 2)))
 
 
 def test_ca_config_validation():
@@ -285,7 +295,10 @@ class _SortedMap:
         self._ranks = np.arange(1, max_docs + 1, dtype=np.float64)
 
     def mean_ap(self, weights):
-        scores = self.features @ weights
+        # each row's weighted features added in feature order from 0.0
+        scores = np.zeros(self.pad.shape)
+        for j, w in enumerate(weights):
+            scores = scores + w * self.features[..., j]
         scores[self.pad] = -np.inf
         order = np.argsort(-scores, axis=1, kind="stable")
         rel_sorted = np.take_along_axis(self.rel, order, axis=1)
@@ -359,6 +372,55 @@ def test_chunked_mean_ap_is_bitwise_one_chunk(monkeypatch):
             assert chunked.tobytes() == whole.tobytes()
             assert packed.mean_ap(batch[0]) == whole[0]
         monkeypatch.undo()
+
+
+def test_packed_trial_scores_are_linear_model_scores(monkeypatch):
+    # What mean_ap ranks for each trial is LinearModel.score of each row,
+    # bit for bit. Feature 0 is all zero; column 1's weights are +0.0 or
+    # -0.0, equal as values, wherever the batch does not vary it; batches
+    # vary in no column, the first, a middle one, the last, or several.
+    monkeypatch.setattr(ltr, "_MAP_CHUNK_CELLS", 1)  # one trial per chunk
+    ranked = []
+    chunk_map = _PackedQueries._chunk_map
+
+    def spy(self, scores):
+        ranked.extend(scores.copy())
+        return chunk_map(self, scores)
+
+    monkeypatch.setattr(_PackedQueries, "_chunk_map", spy)
+    rng = random.Random(1212)
+    signed_zeros = set()
+    for _ in range(25):
+        nf = rng.randint(3, 5)
+        table, qrels = _random_table(rng, nq=rng.randint(2, 7), nf=nf)
+        table = {q: [FeatureVector(q, fv.paragraph_id, (0.0,) + fv.features[1:])
+                     for fv in rows] for q, rows in table.items()}
+        names = tuple(f"f{j}" for j in range(nf))
+        packed = _PackedQueries(ltr._as_table(table, nf), qrels)
+        qids = [q for q in sorted(table) if qrels.relevant(q)]
+        base = [rng.uniform(-1, 1) for _ in range(nf)]
+        for varying in ((), (0,), (nf // 2,), (nf - 1,), (0, nf // 2, nf - 1)):
+            batch = np.array([[rng.uniform(-1, 1) if j in varying else base[j]
+                               for j in range(nf)] for _ in range(rng.randint(1, 6))])
+            if 1 not in varying:
+                batch[:, 1] = [rng.choice((0.0, -0.0)) for _ in batch]
+                signed_zeros.update(math.copysign(1, w) for w in batch[:, 1])
+            ranked.clear()
+            packed.mean_ap(batch)
+            assert len(ranked) == len(batch)
+            for w, scores in zip(batch, ranked):
+                model = LinearModel(names, tuple(w.tolist()))
+                for qi, qid in enumerate(qids):
+                    rows = table[qid]
+                    assert [s.hex() for s in scores[qi, :len(rows)].tolist()] == \
+                        [model.score(fv.features).hex() for fv in rows]
+    assert signed_zeros == {1.0, -1.0}
+
+
+def test_ltr_makes_no_blas_call():
+    # a matrix product's rounding depends on the BLAS kernel; every score
+    # in ltr is elementwise, so a fold's bits cannot
+    assert not re.search(r"matmul|\bdot\b|einsum|[\w)\]] @ ", inspect.getsource(ltr))
 
 
 # --- coordinate ascent ------------------------------------------------------

@@ -35,11 +35,13 @@ def test_run_experiments_small_grid(tmp_path, capsys):
     assert significance.read_text(encoding="utf-8").strip()
     out = capsys.readouterr().out
     assert "fused vs. each baseline" in out
-    # memory goes to stdout, never into the out-dir
+    # time and memory go to stdout, never into the out-dir
+    assert re.search(r"^pipeline: \d+\.\d\d s$", out, re.M)
     assert re.search(r"^peak RSS: parent \d+\.\d MiB, "
                      r"largest worker process \d+\.\d MiB$", out, re.M)
-    assert not any("RSS" in p.read_text(encoding="utf-8")
-                   for p in tmp_path.rglob("*") if p.is_file())
+    assert not any(word in p.read_text(encoding="utf-8")
+                   for p in tmp_path.rglob("*") if p.is_file()
+                   for word in ("RSS", "pipeline:"))
 
 
 def test_run_experiments_rejects_more_folds_than_pages(tmp_path, capsys):
