@@ -9,6 +9,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Qrels
 from .index import Ranking
+from .utils import ordered_sum
 
 
 class RunFormatError(ValueError):
@@ -99,9 +100,9 @@ def evaluate_run(run: RunFile, qrels: Qrels) -> MetricsReport:
     skipped = len(seen) - len(evaluated)
     n = len(evaluated)
     if n:
-        mean_ap = sum(v[0] for v in per_query.values()) / n
-        mean_rp = sum(v[1] for v in per_query.values()) / n
-        mean_rr = sum(v[2] for v in per_query.values()) / n
+        mean_ap = ordered_sum(v[0] for v in per_query.values()) / n
+        mean_rp = ordered_sum(v[1] for v in per_query.values()) / n
+        mean_rr = ordered_sum(v[2] for v in per_query.values()) / n
     else:
         mean_ap = mean_rp = mean_rr = 0.0
     return MetricsReport(
@@ -199,10 +200,10 @@ def paired_t_test(ap_a: Mapping[str, float], ap_b: Mapping[str, float],
     if n < 2:
         raise ValueError("paired t-test requires n >= 2")
     diffs = [ap_a[q] - ap_b[q] for q in sorted(keys_a)]
-    mean = sum(diffs) / n
+    mean = ordered_sum(diffs) / n
     if all(d == 0.0 for d in diffs):
         return TTestResult(0.0, 0.0, 1.0, alpha, False)
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    var = ordered_sum((d - mean) ** 2 for d in diffs) / (n - 1)
     sd = math.sqrt(var)
     if sd == 0.0:
         t = math.inf if mean > 0 else -math.inf

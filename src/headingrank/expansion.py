@@ -5,25 +5,26 @@ All three flavors produce an ExpandedQuery that carries the original
 query untouched plus whatever the expander added; downstream scorers
 interpolate the two sides with a single lambda, so lambda=1 always
 reproduces the unexpanded ranking.
+
+rm1_terms and rm1_entities are one relevance model over two kinds of
+feedback evidence. Mixing and Rocchio centroids use the vector
+interface that the sparse and dense vectors share, so they run one
+path in every space.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .corpus import Corpus, FoldAssignment, HeadingQuery, iter_sections
 from .index import (Index, SparseVector, lm_dirichlet_scores, matching_paragraphs,
                     rank_items, tfidf_idf)
-from .semvec import (DenseVector, EmbeddingStore, EntityLinker, LinkerError,
-                     entity_vector, normalized)
+from .semvec import (DenseVector, EmbeddingStore, EntityLinker, Vector, embedding_sum,
+                     link_or_warn, normalized)
 from .textproc import heading_key
-
-log = logging.getLogger(__name__)
+from .utils import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class ExpandedQuery:
     # Pre-built feedback vector in the active scoring space (set by the
     # Rocchio expander, where the feedback evidence is whole passages
     # rather than weighted terms).
-    expansion_vector: SparseVector | DenseVector | None = None
+    expansion_vector: Vector | None = None
     # Extra terms that should widen the candidate pool in full-corpus
     # retrieval (the expansion itself may live in a non-lexical space).
     match_terms: tuple[str, ...] = ()
@@ -86,8 +87,27 @@ def _doc_posteriors(scored: Sequence[tuple[str, float]]) -> dict[str, float]:
     """Softmax the feedback documents' log-likelihoods into P(q|d)."""
     peak = max(s for _, s in scored)
     exps = [(pid, math.exp(s - peak)) for pid, s in scored]
-    total = sum(e for _, e in exps)
+    total = ordered_sum(e for _, e in exps)
     return {pid: e / total for pid, e in exps}
+
+
+def _relevance_model(ix: Index, query: HeadingQuery, fb_docs: int, keep: int,
+                     mu: float, evidence: Callable[[str], Iterable[tuple[str, float]]]
+                     ) -> list[tuple[str, float]]:
+    """The keep heaviest keys by Σ over feedback docs d of freq(k, d) * P(q|d),
+    renormalized to sum 1, ties by key; evidence(d) yields d's (key, freq)."""
+    feedback = _feedback_docs(ix, query.terms, fb_docs, mu)
+    if not feedback:
+        return []
+    posterior = _doc_posteriors(feedback)
+    weights: dict[str, float] = {}
+    for pid, _ in feedback:
+        p_q = posterior[pid]
+        for key, freq in evidence(pid):
+            weights[key] = weights.get(key, 0.0) + freq * p_q
+    top = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[:keep]
+    total = ordered_sum(w for _, w in top)
+    return [(key, w / total) for key, w in top]
 
 
 def rm1_terms(ix: Index, query: HeadingQuery, fb_docs: int = 10,
@@ -101,26 +121,14 @@ def rm1_terms(ix: Index, query: HeadingQuery, fb_docs: int = 10,
     """
     if fb_docs < 1 or fb_terms < 1:
         raise ValueError("fb_docs and fb_terms must be >= 1")
-    feedback = _feedback_docs(ix, query.terms, fb_docs, mu)
-    if not feedback:
-        return []
-    posterior = _doc_posteriors(feedback)
     skip = set(query.terms)
-    weights: dict[str, float] = {}
-    for pid, _ in feedback:
+
+    def evidence(pid: str) -> Iterable[tuple[str, float]]:
         length = ix.doc_lengths[pid]
-        if length == 0:
-            continue
-        p_q = posterior[pid]
-        for term, tf in ix.doc_tf[pid].items():
-            if term in skip:
-                continue
-            weights[term] = weights.get(term, 0.0) + (tf / length) * p_q
-    if not weights:
-        return []
-    top = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[:fb_terms]
-    total = sum(w for _, w in top)
-    return [WeightedTerm(t, w / total) for t, w in top]
+        return ((t, tf / length) for t, tf in ix.doc_tf[pid].items() if t not in skip)
+
+    return [WeightedTerm(t, w) for t, w in
+            _relevance_model(ix, query, fb_docs, fb_terms, mu, evidence)]
 
 
 def expand_rm3(query: HeadingQuery, terms: Sequence[WeightedTerm],
@@ -153,25 +161,13 @@ def rm1_entities(ix: Index, texts: Mapping[str, str], query: HeadingQuery,
     """
     if fb_docs < 1 or fb_entities < 1:
         raise ValueError("fb_docs and fb_entities must be >= 1")
-    feedback = _feedback_docs(ix, query.terms, fb_docs, mu)
-    if not feedback:
-        return []
-    posterior = _doc_posteriors(feedback)
-    weights: dict[str, float] = {}
-    for pid, _ in feedback:
-        try:
-            mentions = linker.link(texts[pid])
-        except LinkerError as exc:
-            log.warning("linker failed on paragraph %s: %s", pid, exc)
-            continue
-        p_q = posterior[pid]
-        for m in mentions:
-            weights[m.entity_id] = weights.get(m.entity_id, 0.0) + m.count * p_q
-    if not weights:
-        return []
-    top = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[:fb_entities]
-    total = sum(w for _, w in top)
-    return [WeightedEntity(e, w / total) for e, w in top]
+
+    def evidence(pid: str) -> Iterable[tuple[str, float]]:
+        return ((m.entity_id, m.count)
+                for m in link_or_warn(linker, texts[pid], "paragraph", pid))
+
+    return [WeightedEntity(e, w) for e, w in
+            _relevance_model(ix, query, fb_docs, fb_entities, mu, evidence)]
 
 
 def expand_entities(query: HeadingQuery, entities: Sequence[WeightedEntity],
@@ -214,7 +210,7 @@ def build_heading_support(corpus: Corpus, folds: FoldAssignment | None = None,
 
 
 def rocchio_expand(query: HeadingQuery, support: HeadingSupportIndex,
-                   vectorizer: Callable[[str], SparseVector | DenseVector],
+                   vectorizer: Callable[[str], Vector],
                    max_passages: int = 5, lam: float = 0.5) -> ExpandedQuery:
     """Expand with the centroid of same-heading passages from other pages.
 
@@ -232,7 +228,7 @@ def rocchio_expand(query: HeadingQuery, support: HeadingSupportIndex,
              if p[0] != query.page_id][:max_passages]
     if not pairs:
         return ExpandedQuery(original=query)
-    units: list[SparseVector | DenseVector] = []
+    units: list[Vector] = []
     for _, pid in pairs:
         unit = normalized(vectorizer(pid))
         if unit is not None:
@@ -251,21 +247,11 @@ def rocchio_expand(query: HeadingQuery, support: HeadingSupportIndex,
     )
 
 
-def _mean_vector(vectors: Sequence[SparseVector | DenseVector]):
-    n = len(vectors)
-    first = vectors[0]
-    if isinstance(first, SparseVector):
-        acc: dict[str, float] = {}
-        for v in vectors:
-            assert isinstance(v, SparseVector)
-            for t, w in v.entries.items():
-                acc[t] = acc.get(t, 0.0) + w
-        return SparseVector(entries={t: w / n for t, w in acc.items()})
-    total = np.zeros_like(first.values)
+def _mean_vector(vectors: Sequence[Vector]) -> Vector:
+    total = vectors[0].zero()
     for v in vectors:
-        assert isinstance(v, DenseVector)
-        total = total + v.values
-    return DenseVector(values=total / n, empty=False)
+        total = total.plus(v)
+    return total.divided(len(vectors))
 
 
 def term_feedback_vector(terms: Sequence[WeightedTerm], ix: Index) -> SparseVector:
@@ -287,25 +273,13 @@ def dense_feedback_vector(pairs: Iterable[tuple[str, float]], store: EmbeddingSt
     """Weighted feedback terms or entities mapped into the embedding space.
 
     Sums weight * idf * vector over the (key, weight) pairs, skipping a
-    key without a vector or with idf 0; empty when nothing was added.
+    key without a vector or with idf 0; zero when nothing was added.
     """
-    acc = np.zeros(store.dim, dtype=np.float64)
-    covered = False
-    for key, weight in pairs:
-        vec = store.get(key)
-        if vec is None:
-            continue
-        idf = tfidf_idf(doc_freq, n_docs, key)
-        if idf == 0.0:
-            continue
-        acc += weight * idf * vec
-        covered = True
-    return DenseVector(values=acc, empty=not covered)
+    return embedding_sum(((key, weight, 0) for key, weight in pairs),
+                         store, doc_freq, n_docs)
 
 
-def mix_vectors(original: SparseVector | DenseVector,
-                feedback: SparseVector | DenseVector | None,
-                lam: float) -> SparseVector | DenseVector:
+def mix_vectors(original: Vector, feedback: Vector | None, lam: float) -> Vector:
     """lam * unit(original) + (1 - lam) * unit(feedback).
 
     Either side being zero (or lam at an extreme) degrades gracefully
@@ -318,15 +292,7 @@ def mix_vectors(original: SparseVector | DenseVector,
         return original if u_orig is None else u_orig
     if lam <= 0.0 or u_orig is None:
         return u_fb
-    if isinstance(u_orig, SparseVector) and isinstance(u_fb, SparseVector):
-        entries = {t: lam * w for t, w in u_orig.entries.items()}
-        for t, w in u_fb.entries.items():
-            entries[t] = entries.get(t, 0.0) + (1.0 - lam) * w
-        return SparseVector(entries=entries)
-    if isinstance(u_orig, DenseVector) and isinstance(u_fb, DenseVector):
-        return DenseVector(values=lam * u_orig.values + (1.0 - lam) * u_fb.values,
-                           empty=False)
-    raise ValueError("cannot mix sparse and dense vectors")
+    return u_orig.scaled(lam).plus(u_fb.scaled(1.0 - lam))
 
 
 def mixed_term_weights(eq: ExpandedQuery) -> dict[str, float]:

@@ -16,17 +16,25 @@ smoothing mass once per pool.
 A SparseVector computes its norm once, on first use, and keeps it, and
 an Index builds its per-paragraph term counts (doc_tf) the same way, so
 building and saving an index never pays for them.
+
+SparseVector and semvec.DenseVector share one interface (norm, dot,
+plus, scaled, divided, zero), and same_space is the one check that two
+vectors can be combined. Float sums add left to right, never through
+the builtin sum, which compensates from Python 3.12 on, so every score
+has the same bits under every supported Python.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from .textproc import TokenPipelineConfig, DEFAULT_CONFIG, tokenize
+from .utils import ordered_sum
 
 INDEX_FORMAT = "headingrank-index"
 INDEX_VERSION = 1
@@ -44,6 +52,15 @@ class Bm25Params:
             raise ValueError("b must be in [0, 1]")
 
 
+def same_space(a, b) -> None:
+    """The check of every two-vector operation: one type, one dimension."""
+    if type(a) is not type(b):
+        raise ValueError(f"mismatched vector spaces: {type(a).__name__} "
+                         f"vs {type(b).__name__}")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+
+
 @dataclass(frozen=True)
 class SparseVector:
     """Term-keyed vector; produced L2-normalized by tfidf_vector.
@@ -53,19 +70,41 @@ class SparseVector:
     """
 
     entries: dict[str, float]
+    shape: ClassVar[None] = None  # every term is an axis
 
     @cached_property
     def _norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.entries.values()))
+        return math.sqrt(ordered_sum(w * w for w in self.entries.values()))
 
     def norm(self) -> float:
         return self._norm
 
     def dot(self, other: "SparseVector") -> float:
+        same_space(self, other)
         a, b = self.entries, other.entries
         if len(b) < len(a):
             a, b = b, a
-        return sum(w * b[t] for t, w in a.items() if t in b)
+        total = 0.0  # added left to right, as ordered_sum
+        for t, w in a.items():
+            if t in b:
+                total += w * b[t]
+        return total
+
+    def plus(self, other: "SparseVector") -> "SparseVector":
+        same_space(self, other)
+        entries = dict(self.entries)
+        for t, w in other.entries.items():
+            entries[t] = entries.get(t, 0.0) + w
+        return SparseVector(entries)
+
+    def scaled(self, c: float) -> "SparseVector":
+        return SparseVector({t: c * w for t, w in self.entries.items()})
+
+    def divided(self, c: float) -> "SparseVector":
+        return SparseVector({t: w / c for t, w in self.entries.items()})
+
+    def zero(self) -> "SparseVector":
+        return SparseVector({})
 
 
 @dataclass(frozen=True)
@@ -197,22 +236,15 @@ def tfidf_vector(ix: Index, bag: Sequence[str] | Mapping[str, int]) -> SparseVec
     unit length unless empty. The bag may be given pre-counted as a
     term -> frequency map.
     """
-    if isinstance(bag, Mapping):
-        counts = dict(bag)
-    else:
-        counts = {}
-        for t in bag:
-            counts[t] = counts.get(t, 0) + 1
     entries: dict[str, float] = {}
-    for t, tf in counts.items():
+    for t, tf in Counter(bag).items():
         idf = tfidf_idf(ix.doc_freq, ix.n_docs, t)
         if idf == 0.0:
             continue
         entries[t] = (1.0 + math.log(tf)) * idf
-    norm = math.sqrt(sum(w * w for w in entries.values()))
-    if norm > 0.0:
-        entries = {t: w / norm for t, w in entries.items()}
-    return SparseVector(entries=entries)
+    vec = SparseVector(entries)
+    norm = vec.norm()
+    return vec.divided(norm) if norm > 0.0 else vec
 
 
 def lm_dirichlet_scores(ix: Index, q: Sequence[str], paragraph_ids: Iterable[str],

@@ -19,10 +19,10 @@ from .expansion import (ExpandedQuery, HeadingSupportIndex, dense_feedback_vecto
                         expand_entities, expand_rm3, mix_vectors,
                         mixed_term_weights, rm1_entities, rm1_terms,
                         rocchio_expand, term_feedback_vector)
-from .index import (Bm25Params, Index, Ranking, SparseVector, bm25_scores,
-                    matching_paragraphs, rank_items, tfidf_vector)
-from .semvec import (DenseVector, EmbeddingStore, EntityLinker, EntityStats,
-                     LinkerError, cosine, entity_vector, text_vector)
+from .index import (Bm25Params, Index, Ranking, bm25_scores, matching_paragraphs,
+                    rank_items, tfidf_vector)
+from .semvec import (EmbeddingStore, EntityLinker, EntityStats, Vector, cosine,
+                     entity_vector, link_or_warn, text_vector)
 
 log = logging.getLogger(__name__)
 
@@ -110,7 +110,7 @@ class MethodEngine:
         self.linker = linker
         self.entity_stats = entity_stats
         self.support = support
-        self._doc_vectors: dict[str, SparseVector | DenseVector] = {}
+        self._doc_vectors: dict[str, Vector] = {}
         self._check_resources()
 
     def _check_resources(self) -> None:
@@ -127,32 +127,26 @@ class MethodEngine:
 
     # --- document representations -------------------------------------
 
-    def doc_vector(self, pid: str) -> SparseVector | DenseVector:
-        cached = self._doc_vectors.get(pid)
-        if cached is not None:
-            return cached
-        method = self.params.method
-        if method == "tfidf-cs":
-            vec: SparseVector | DenseVector = tfidf_vector(self.ix, self.ix.doc_tf[pid])
-        elif method == "glove-cs":
-            assert self.embeddings is not None
-            vec = text_vector(self.ix.doc_tf[pid], self.embeddings, self.ix)
-        elif method == "entity-cs":
-            assert self.embeddings is not None and self.entity_stats is not None
-            vec = entity_vector(self._mentions(pid), self.embeddings,
-                                self.entity_stats)
-        else:
-            raise ValueError(f"method {method!r} has no document vectors")
-        self._doc_vectors[pid] = vec
+    def doc_vector(self, pid: str) -> Vector:
+        vec = self._doc_vectors.get(pid)
+        if vec is None:
+            vec = self._doc_vectors[pid] = self._vector(
+                self.ix.doc_tf[pid], self.texts[pid], "paragraph", pid)
         return vec
 
-    def _mentions(self, pid: str):
-        assert self.linker is not None
-        try:
-            return self.linker.link(self.texts[pid])
-        except LinkerError as exc:
-            log.warning("linker failed on paragraph %s: %s", pid, exc)
-            return []
+    def _vector(self, bag: Sequence[str] | Mapping[str, int], text: str,
+                kind: str, name: str) -> Vector:
+        """The method's vector of a paragraph or query: of its token bag,
+        or for entity-cs of the entities linked in its text."""
+        method = self.params.method
+        if method == "tfidf-cs":
+            return tfidf_vector(self.ix, bag)
+        if method == "glove-cs":
+            return text_vector(bag, self.embeddings, self.ix)
+        if method == "entity-cs":
+            return entity_vector(link_or_warn(self.linker, text, kind, name),
+                                 self.embeddings, self.entity_stats)
+        raise ValueError(f"method {method!r} has no vectors")
 
     # --- query expansion ----------------------------------------------
 
@@ -178,24 +172,7 @@ class MethodEngine:
 
     # --- query representations ----------------------------------------
 
-    def _query_vector(self, query: HeadingQuery) -> SparseVector | DenseVector:
-        method = self.params.method
-        if method == "tfidf-cs":
-            return tfidf_vector(self.ix, list(query.terms))
-        if method == "glove-cs":
-            assert self.embeddings is not None
-            return text_vector(list(query.terms), self.embeddings, self.ix)
-        assert method == "entity-cs"
-        assert (self.embeddings is not None and self.linker is not None
-                and self.entity_stats is not None)
-        try:
-            mentions = self.linker.link(query.raw_text)
-        except LinkerError as exc:
-            log.warning("linker failed on query %s: %s", query.query_id, exc)
-            mentions = []
-        return entity_vector(mentions, self.embeddings, self.entity_stats)
-
-    def _feedback_vector(self, eq: ExpandedQuery) -> SparseVector | DenseVector | None:
+    def _feedback_vector(self, eq: ExpandedQuery) -> Vector | None:
         p = self.params
         if eq.expansion_vector is not None:
             return eq.expansion_vector
@@ -236,8 +213,10 @@ class MethodEngine:
             scored = bm25_scores(self.ix, mixed_term_weights(eq).items(), pool,
                                  self.params.bm25_params())
         else:
-            mixed = mix_vectors(self._query_vector(query),
-                                self._feedback_vector(eq), eq.interpolation)
+            query_vector = self._vector(query.terms, query.raw_text, "query",
+                                        query.query_id)
+            mixed = mix_vectors(query_vector, self._feedback_vector(eq),
+                                eq.interpolation)
             scored = {pid: cosine(mixed, self.doc_vector(pid)) for pid in pool}
         return rank_items(query.query_id, scored,
                           k if candidates is None else None)

@@ -2,7 +2,13 @@
 
 Word side: a text maps to the TF-IDF-weighted average of the word
 vectors covering it. Entity side: a text maps to the bag of entities a
-linker finds in it, averaged with link-frequency TF-IDF weights.
+linker finds in it, averaged with link-frequency TF-IDF weights. Both,
+and the feedback vectors of query expansion, are one embedding_sum.
+A text that nothing covers maps to the zero vector.
+
+DenseVector has index.SparseVector's interface, so cosine and
+normalized, like the expansion code, run one path for the tf-idf, word
+and entity spaces.
 
 The default linker is a deterministic in-process gazetteer matcher
 (exact surface dictionary, longest match, left-to-right,
@@ -10,6 +16,8 @@ case-insensitive), so the whole pipeline runs hermetically. Any other
 linker can be plugged in behind the same one-method interface; a
 remote implementation must raise LinkerUnavailableError on transport
 failure so callers can tell "no entities" from "no linker".
+link_or_warn is the one place a failure on one text is logged and
+taken as no entities.
 
 cosine and normalized read each vector's kept norm, which the vector
 computes once, on first use: a cached paragraph vector's norm once per
@@ -18,15 +26,19 @@ engine, a query's mixed vector's once per query.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .index import Index, SparseVector, tfidf_idf
+from .index import Index, SparseVector, same_space, tfidf_idf
 from .textproc import TOKEN_RE
+
+log = logging.getLogger(__name__)
 
 
 class EmbeddingFormatError(ValueError):
@@ -60,10 +72,13 @@ class EmbeddingStore:
 
 @dataclass(frozen=True, eq=False)
 class DenseVector:
-    """Treat values as read-only: the norm is computed on first use and kept."""
+    """Embedding-space vector with index.SparseVector's interface.
+
+    Treat values as read-only: the norm and shape are computed on first
+    use and kept.
+    """
 
     values: np.ndarray
-    empty: bool = False  # True when nothing in the input was covered
 
     @cached_property
     def _norm(self) -> float:
@@ -71,6 +86,30 @@ class DenseVector:
 
     def norm(self) -> float:
         return self._norm
+
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape
+
+    def dot(self, other: "DenseVector") -> float:
+        same_space(self, other)
+        return float(np.dot(self.values, other.values))
+
+    def plus(self, other: "DenseVector") -> "DenseVector":
+        same_space(self, other)
+        return DenseVector(self.values + other.values)
+
+    def scaled(self, c: float) -> "DenseVector":
+        return DenseVector(c * self.values)
+
+    def divided(self, c: float) -> "DenseVector":
+        return DenseVector(self.values / c)
+
+    def zero(self) -> "DenseVector":
+        return DenseVector(np.zeros_like(self.values))
+
+
+Vector = SparseVector | DenseVector
 
 
 @dataclass(frozen=True)
@@ -116,13 +155,26 @@ def load_embeddings(source: str | Iterable[str]) -> EmbeddingStore:
     return EmbeddingStore(dim=dim, table=table)
 
 
-def _bag_counts(bag: Sequence[str] | Mapping[str, int]) -> Mapping[str, int]:
-    if isinstance(bag, Mapping):
-        return bag
-    counts: dict[str, int] = {}
-    for t in bag:
-        counts[t] = counts.get(t, 0) + 1
-    return counts
+def embedding_sum(weighted: Iterable[tuple[str, float, int]], store: EmbeddingStore,
+                  doc_freq: Mapping[str, int], n_docs: int) -> DenseVector:
+    """Σ coef * ln(n_docs / df(key)) * vector(key) over (key, coef, mass).
+
+    A key without a stored vector is skipped; one with idf 0 adds
+    nothing, but its mass still counts as covered. The sum is divided
+    by the covered mass when that is positive: a text nothing covers
+    gives the zero vector, and feedback pairs (mass 0) an undivided sum.
+    """
+    acc = np.zeros(store.dim, dtype=np.float64)
+    covered = 0
+    for key, coef, mass in weighted:
+        vec = store.get(key)
+        if vec is None:
+            continue
+        covered += mass
+        idf = tfidf_idf(doc_freq, n_docs, key)
+        if idf != 0.0:
+            acc += coef * idf * vec
+    return DenseVector(acc / covered if covered else acc)
 
 
 def text_vector(bag: Sequence[str] | Mapping[str, int], store: EmbeddingStore,
@@ -131,23 +183,11 @@ def text_vector(bag: Sequence[str] | Mapping[str, int], store: EmbeddingStore,
 
     Every occurrence of a token with a stored vector counts toward the
     divisor |d|, whether or not its corpus idf is positive; tokens the
-    index has never seen carry weight 0. No coverage at all gives a
-    zero vector flagged empty.
+    index has never seen carry weight 0.
     """
-    acc = np.zeros(store.dim, dtype=np.float64)
-    covered = 0
-    for token, tf in _bag_counts(bag).items():
-        vec = store.get(token)
-        if vec is None:
-            continue
-        covered += tf
-        idf = tfidf_idf(ix.doc_freq, ix.n_docs, token)
-        if idf == 0.0:
-            continue
-        acc += tf * (1.0 + math.log(tf)) * idf * vec
-    if covered == 0:
-        return DenseVector(values=acc, empty=True)
-    return DenseVector(values=acc / covered, empty=False)
+    return embedding_sum(((t, tf * (1.0 + math.log(tf)), tf)
+                          for t, tf in Counter(bag).items()),
+                         store, ix.doc_freq, ix.n_docs)
 
 
 class EntityLinker(Protocol):
@@ -232,18 +272,28 @@ def build_entity_stats(texts: Mapping[str, str], linker: EntityLinker) -> Entity
 
 
 def load_entity_stats(path: str) -> EntityStats:
-    """`Ndocs<TAB>n` header, then `entityId<TAB>linkDocFreq` rows."""
+    """`Ndocs<TAB>n` header, then `entityId<TAB>linkDocFreq` rows.
+
+    n must be at least 1 and every link doc freq within [0, n], or idf
+    would be undefined or negative; a violation names its line.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("Ndocs\t"):
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1)
+                 if ln.strip()]
+    if not lines or not lines[0][1].startswith("Ndocs\t"):
         raise ValueError("entity stats file must start with 'Ndocs<TAB>n'")
-    n_docs = int(lines[0].split("\t", 1)[1])
+    n_docs = int(lines[0][1].split("\t", 1)[1])
+    if n_docs < 1:
+        raise ValueError(f"line {lines[0][0]}: Ndocs must be >= 1, got {n_docs}")
     ldf: dict[str, int] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         if "\t" not in line:
             raise ValueError(f"line {line_no}: expected entityId<TAB>linkDocFreq")
         entity_id, count = line.split("\t", 1)
         ldf[entity_id] = int(count)
+        if not 0 <= ldf[entity_id] <= n_docs:
+            raise ValueError(f"line {line_no}: link doc freq {ldf[entity_id]} of "
+                             f"{entity_id!r} is outside [0, Ndocs={n_docs}]")
     return EntityStats(link_doc_freq=ldf, n_docs=n_docs)
 
 
@@ -262,47 +312,29 @@ def entity_vector(mentions: Sequence[EntityMention], store: EmbeddingStore,
     without a stored vector are skipped entirely; entities without link
     statistics contribute weight 0 but still count as covered.
     """
-    acc = np.zeros(store.dim, dtype=np.float64)
-    covered = 0
-    for mention in mentions:
-        vec = store.get(mention.entity_id)
-        if vec is None:
-            continue
-        covered += 1
-        idf = tfidf_idf(stats.link_doc_freq, stats.n_docs, mention.entity_id)
-        if idf == 0.0:
-            continue
-        acc += (1.0 + math.log(mention.count)) * idf * vec
-    if covered == 0:
-        return DenseVector(values=acc, empty=True)
-    return DenseVector(values=acc / covered, empty=False)
+    return embedding_sum(((m.entity_id, 1.0 + math.log(m.count), 1) for m in mentions),
+                         store, stats.link_doc_freq, stats.n_docs)
 
 
-def cosine(a: DenseVector | SparseVector, b: DenseVector | SparseVector) -> float:
+def link_or_warn(linker: EntityLinker, text: str, kind: str, name: str) -> list[EntityMention]:
+    """The linker's mentions in text, or none, logged, when it fails on it."""
+    try:
+        return linker.link(text)
+    except LinkerError as exc:
+        log.warning("linker failed on %s %s: %s", kind, name, exc)
+        return []
+
+
+def cosine(a: Vector, b: Vector) -> float:
     """dot(a,b) / (|a||b|); 0.0 whenever either norm is 0."""
-    if isinstance(a, SparseVector) and isinstance(b, SparseVector):
-        na, nb = a.norm(), b.norm()
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return a.dot(b) / (na * nb)
-    if isinstance(a, DenseVector) and isinstance(b, DenseVector):
-        if a.values.shape != b.values.shape:
-            raise ValueError(
-                f"dimension mismatch: {a.values.shape} vs {b.values.shape}")
-        na, nb = a.norm(), b.norm()
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return float(np.dot(a.values, b.values)) / (na * nb)
-    raise ValueError("mismatched vector spaces (sparse vs dense)")
+    na, nb = a.norm(), b.norm()
+    if na == 0.0 or nb == 0.0:
+        same_space(a, b)
+        return 0.0
+    return a.dot(b) / (na * nb)
 
 
-def normalized(v: DenseVector | SparseVector) -> DenseVector | SparseVector | None:
-    """Unit-length copy, or None for zero/empty vectors."""
+def normalized(v: Vector) -> Vector | None:
+    """Unit-length copy, or None for a zero vector."""
     n = v.norm()
-    if isinstance(v, SparseVector):
-        if n == 0.0:
-            return None
-        return SparseVector(entries={t: w / n for t, w in v.entries.items()})
-    if v.empty or n == 0.0:
-        return None
-    return DenseVector(values=v.values / n, empty=False)
+    return v.divided(n) if n != 0.0 else None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 
 def derive_seed(*parts: object) -> int:
@@ -15,3 +16,15 @@ def derive_seed(*parts: object) -> int:
     joined = "\x1f".join(str(p) for p in parts)
     digest = hashlib.sha256(joined.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Σ values added left to right from 0.0.
+
+    The builtin sum compensates its float additions from Python 3.12
+    on, so its bits would depend on the Python version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total

@@ -18,7 +18,7 @@ import pytest
 from headingrank.corpus import Corpus, parse_corpus
 from headingrank.index import (Index, SparseVector, bm25_idf, build_index,
                                matching_paragraphs, rank_items)
-from headingrank.semvec import DenseVector
+from headingrank.semvec import DenseVector, LinkerError
 from headingrank.textproc import TokenPipelineConfig
 
 PLAIN_CFG = TokenPipelineConfig(stopwords=frozenset(), stem=False)
@@ -69,6 +69,16 @@ def two_page_corpus() -> Corpus:
     ])
 
 
+# --entity-stats contents with no valid idf, each with the message's start;
+# the file's line numbers count its blank lines
+BAD_ENTITY_STATS = [
+    ("Ndocs\t0\nE1\t0\n", "line 1: Ndocs must be >= 1, got 0"),
+    ("\nNdocs\t-2\n", "line 2: Ndocs must be >= 1, got -2"),
+    ("Ndocs\t4\nE1\t4\n\nE2\t5\n", "line 4: link doc freq 5 of 'E2'"),
+    ("Ndocs\t4\nE1\t-1\n", "line 2: link doc freq -1 of 'E1'"),
+]
+
+
 # --- reference scoring: one (query, paragraph) pair at a time --------------
 # The library computes per-query and per-vector invariants once (idf,
 # length norms, smoothing mass, vector norms). These references recompute
@@ -107,7 +117,10 @@ def ref_feedback_docs(ix, terms, fb_docs, mu):
 def ref_norm(v):
     """A vector's norm computed afresh, never read from the vector."""
     if isinstance(v, SparseVector):
-        return math.sqrt(sum(w * w for w in v.entries.values()))
+        total = 0.0  # left to right: sum() compensates from Python 3.12
+        for w in v.entries.values():
+            total += w * w
+        return math.sqrt(total)
     return float(np.linalg.norm(v.values))
 
 
@@ -122,13 +135,92 @@ def ref_cosine(a, b):
 
 def ref_normalized(v):
     n = ref_norm(v)
-    if isinstance(v, SparseVector):
-        if n == 0.0:
-            return None
-        return SparseVector(entries={t: w / n for t, w in v.entries.items()})
-    if v.empty or n == 0.0:
+    if n == 0.0:
         return None
-    return DenseVector(values=v.values / n, empty=False)
+    if isinstance(v, SparseVector):
+        return SparseVector(entries={t: w / n for t, w in v.entries.items()})
+    return DenseVector(values=v.values / n)
+
+
+# --- the vector and relevance-model paths, one branch per space --------------
+# mix_vectors, _mean_vector, rm1_terms and rm1_entities as they were written
+# before the sparse and dense vectors shared one interface, with every float
+# sum added left to right. Tests require the library to match them bit for bit.
+
+def ref_mix_vectors(original, feedback, lam):
+    u_orig = ref_normalized(original)
+    u_fb = ref_normalized(feedback) if feedback is not None else None
+    if lam >= 1.0 or u_fb is None:
+        return original if u_orig is None else u_orig
+    if lam <= 0.0 or u_orig is None:
+        return u_fb
+    if isinstance(u_orig, SparseVector):
+        entries = {t: lam * w for t, w in u_orig.entries.items()}
+        for t, w in u_fb.entries.items():
+            entries[t] = entries.get(t, 0.0) + (1.0 - lam) * w
+        return SparseVector(entries=entries)
+    return DenseVector(values=lam * u_orig.values + (1.0 - lam) * u_fb.values)
+
+
+def ref_mean_vector(vectors):
+    n = len(vectors)
+    if isinstance(vectors[0], SparseVector):
+        acc: dict = {}
+        for v in vectors:
+            for t, w in v.entries.items():
+                acc[t] = acc.get(t, 0.0) + w
+        return SparseVector(entries={t: w / n for t, w in acc.items()})
+    total = np.zeros_like(vectors[0].values)
+    for v in vectors:
+        total = total + v.values
+    return DenseVector(values=total / n)
+
+
+def _ref_relevance_model(feedback, weights_of, keep):
+    peak = max(s for _, s in feedback)
+    exps = [(pid, math.exp(s - peak)) for pid, s in feedback]
+    total = 0.0
+    for _, e in exps:
+        total += e
+    posterior = {pid: e / total for pid, e in exps}
+    weights: dict = {}
+    for pid, _ in feedback:
+        for key, freq in weights_of(pid):
+            weights[key] = weights.get(key, 0.0) + freq * posterior[pid]
+    top = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[:keep]
+    total = 0.0
+    for _, w in top:
+        total += w
+    return [(key, w / total) for key, w in top]
+
+
+def ref_rm1_terms(ix, query, fb_docs, fb_terms, mu):
+    """(term, weight) pairs; a tokenless feedback paragraph gives nothing."""
+    feedback = ref_feedback_docs(ix, query.terms, fb_docs, mu)
+    if not feedback:
+        return []
+
+    def weights_of(pid):
+        length = ix.doc_lengths[pid]
+        if length == 0:
+            return []
+        return [(t, tf / length) for t, tf in ix.doc_tf[pid].items()
+                if t not in query.terms]
+    return _ref_relevance_model(feedback, weights_of, fb_terms)
+
+
+def ref_rm1_entities(ix, texts, query, linker, fb_docs, fb_entities, mu):
+    """(entity, weight) pairs; a paragraph the linker fails on gives nothing."""
+    feedback = ref_feedback_docs(ix, query.terms, fb_docs, mu)
+    if not feedback:
+        return []
+
+    def weights_of(pid):
+        try:
+            return [(m.entity_id, m.count) for m in linker.link(texts[pid])]
+        except LinkerError:
+            return []
+    return _ref_relevance_model(feedback, weights_of, fb_entities)
 
 
 # --- fold worker processes ------------------------------------------------------

@@ -16,8 +16,8 @@ from headingrank.evaluation import read_run
 from headingrank.index import Index
 from headingrank.synth import SynthSpec, write_fixture
 
-from conftest import (corpus_from_pages, exit_in_worker, needs_fork, page,
-                      section, time_limit)
+from conftest import (BAD_ENTITY_STATS, corpus_from_pages, exit_in_worker,
+                      needs_fork, page, section, time_limit)
 
 TOPICS = ("history", "climate", "economy", "wildlife", "culture", "geology")
 
@@ -523,6 +523,27 @@ def test_pipeline_rejects_bad_resource_file_before_writing(
                    "--scorers", f"bm25,{scorer}", *resource_args,
                    *PIPELINE_ARGS) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("content, message", BAD_ENTITY_STATS)
+@pytest.mark.parametrize("command", ["pipeline", "run"])
+def test_entity_stats_without_an_idf_exit_2_before_writing(
+        corpus_path, tmp_path, capsys, command, content, message):
+    paths = write_fixture(SynthSpec(pages=2, seed=2), str(tmp_path / "fx"))
+    stats = tmp_path / "stats.tsv"
+    stats.write_text(content, encoding="utf-8")
+    resources = ("--embeddings", paths["embeddings"], "--gazetteer",
+                 paths["gazetteer"], "--entity-stats", stats)
+    out_dir = tmp_path / "exp"
+    if command == "pipeline":
+        argv = ("pipeline", "--out-dir", out_dir, "--scorers", "bm25,entity-cs",
+                *PIPELINE_ARGS)
+    else:
+        out_dir.mkdir()
+        argv = ("run", "--method", "entity-cs", "--out", out_dir / "run.txt")
+    assert run_cli(*argv, "--corpus", corpus_path, *resources) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert list(out_dir.iterdir()) == []
 
 

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from headingrank.corpus import HeadingQuery, assign_folds
 from headingrank.expansion import (
@@ -14,6 +14,7 @@ from headingrank.expansion import (
     WeightedEntity,
     WeightedTerm,
     _feedback_docs,
+    _mean_vector,
     build_heading_support,
     dense_feedback_vector,
     expand_entities,
@@ -37,7 +38,8 @@ from headingrank.semvec import (
 )
 
 from conftest import (corpus_from_pages, page, plain_index, ref_feedback_docs,
-                      section)
+                      ref_mean_vector, ref_mix_vectors, ref_rm1_entities,
+                      ref_rm1_terms, section)
 
 
 def hq(terms, page_id="pg", heading="H", qid="pg/H"):
@@ -404,10 +406,9 @@ def test_term_feedback_dense():
     store = load_embeddings(["x 1.0 0.0", "z 0.0 1.0"])
     vec = dense_feedback_vector([("x", 0.5), ("q", 0.5)], store,
                                 ix.doc_freq, ix.n_docs)
-    assert not vec.empty
-    assert vec.values == pytest.approx([0.5 * math.log(2.0), 0.0])
+    assert vec.values.tolist() == [0.5 * math.log(2.0), 0.0]
     empty = dense_feedback_vector([("q", 1.0)], store, ix.doc_freq, ix.n_docs)
-    assert empty.empty
+    assert empty.values.tolist() == [0.0, 0.0]
 
 
 def test_entity_feedback_vector():
@@ -436,15 +437,15 @@ def test_mix_vectors_zero_original_falls_back_to_feedback():
 
 
 def test_mix_vectors_dense():
-    orig = DenseVector(values=np.array([2.0, 0.0]), empty=False)
-    fb = DenseVector(values=np.array([0.0, 5.0]), empty=False)
+    orig = DenseVector(values=np.array([2.0, 0.0]))
+    fb = DenseVector(values=np.array([0.0, 5.0]))
     mixed = mix_vectors(orig, fb, 0.5)
     assert mixed.values == pytest.approx([0.5, 0.5])
 
 
 def test_mix_vectors_rejects_mixed_spaces():
     orig = SparseVector({"a": 1.0})
-    fb = DenseVector(values=np.array([1.0]), empty=False)
+    fb = DenseVector(values=np.array([1.0]))
     with pytest.raises(ValueError):
         mix_vectors(orig, fb, 0.5)
 
@@ -458,3 +459,90 @@ def test_mix_vectors_interpolates_between_units(lam):
     for t in ("a", "b", "c"):
         want = lam * uo.entries.get(t, 0.0) + (1 - lam) * uf.entries.get(t, 0.0)
         assert mixed.entries.get(t, 0.0) == pytest.approx(want, abs=1e-12)
+
+
+# --- bitwise agreement with the one-branch-per-space references ---------------
+
+FLOATS = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
+                   st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+def sparse_vectors():
+    # keys from a small alphabet, so two vectors often share some keys
+    # and hold others alone; an empty map and all-zero weights are zero
+    return st.dictionaries(st.sampled_from("abcdef"), FLOATS,
+                           max_size=6).map(SparseVector)
+
+
+def dense_vectors():
+    return st.lists(FLOATS, min_size=3, max_size=3).map(
+        lambda xs: DenseVector(np.array(xs)))
+
+
+def bits(v):
+    if v is None:
+        return None
+    if isinstance(v, SparseVector):
+        return ("sparse", [(t, w.hex()) for t, w in v.entries.items()])
+    return ("dense", v.values.tobytes())
+
+
+LAMBDAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(st.one_of(st.tuples(sparse_vectors(), st.none() | sparse_vectors()),
+                 st.tuples(dense_vectors(), st.none() | dense_vectors())),
+       LAMBDAS)
+@example((SparseVector({}), SparseVector({"a": 2.0})), 0.5)
+@example((SparseVector({"a": 1.0, "b": -0.0}), SparseVector({"b": 2.0, "c": -3.0})), 0.3)
+@example((DenseVector(np.zeros(3)), DenseVector(np.array([1.0, -0.0, 2.0]))), 0.5)
+def test_mix_vectors_is_bitwise_the_reference(pair, lam):
+    original, feedback = pair
+    assert bits(mix_vectors(original, feedback, lam)) == \
+        bits(ref_mix_vectors(original, feedback, lam))
+
+
+@given(st.one_of(st.lists(sparse_vectors(), min_size=1, max_size=5),
+                 st.lists(dense_vectors(), min_size=1, max_size=5)))
+@example([SparseVector({"a": -0.0}), SparseVector({"b": 1.0, "a": -0.0})])
+@example([DenseVector(np.zeros(3)), DenseVector(np.array([-0.0, 1.0, -2.0]))])
+def test_mean_vector_is_bitwise_the_reference(vectors):
+    assert bits(_mean_vector(vectors)) == bits(ref_mean_vector(vectors))
+
+
+def test_mean_vector_rejects_mixed_spaces():
+    with pytest.raises(ValueError):
+        _mean_vector([SparseVector({"a": 1.0}), DenseVector(np.ones(1))])
+    with pytest.raises(ValueError):
+        _mean_vector([DenseVector(np.ones(2)), DenseVector(np.ones(3))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_rm1_pair_is_bitwise_the_reference(rng):
+    words = [f"w{i}" for i in range(8)]
+    texts = {f"d{i:02d}": " ".join(rng.choices(words, k=rng.randint(1, 9)))
+             for i in range(rng.randint(1, 12))}
+    ix = plain_index(texts)
+    inner = GazetteerLinker({w: f"E_{w}" for w in words[:5]})
+    fail_on = set(rng.sample(words, rng.randint(0, 3)))
+
+    class FailsOnSome:
+        def link(self, text):
+            if fail_on & set(text.split()):
+                raise LinkerError(f"cannot link {text!r}")
+            return inner.link(text)
+
+    linker = FailsOnSome()
+    for _ in range(3):
+        q = hq(rng.choices(words + ["zz"], k=rng.randint(1, 3)))
+        fb_docs, keep, mu = rng.randint(1, 6), rng.randint(1, 6), rng.choice([5.0, 1500.0])
+        got = [(t.term, t.weight.hex())
+               for t in rm1_terms(ix, q, fb_docs=fb_docs, fb_terms=keep, mu=mu)]
+        assert got == [(t, w.hex())
+                       for t, w in ref_rm1_terms(ix, q, fb_docs, keep, mu)]
+        got = [(e.entity_id, e.weight.hex())
+               for e in rm1_entities(ix, texts, q, linker, fb_docs=fb_docs,
+                                     fb_entities=keep, mu=mu)]
+        assert got == [(e, w.hex()) for e, w in
+                       ref_rm1_entities(ix, texts, q, linker, fb_docs, keep, mu)]

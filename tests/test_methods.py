@@ -320,7 +320,9 @@ def _reference_ranking(eng, query, k, candidates, monkeypatch):
             scored = {pid: sum(w * ref_bm25_term_score(eng.ix, t, pid, bm)
                                for t, w in weights.items()) for pid in pool}
         else:
-            mixed = mix_vectors(eng._query_vector(query), eng._feedback_vector(eq),
+            query_vector = eng._vector(query.terms, query.raw_text, "query",
+                                       query.query_id)
+            mixed = mix_vectors(query_vector, eng._feedback_vector(eq),
                                 eq.interpolation)
             scored = {pid: ref_cosine(mixed, eng.doc_vector(pid)) for pid in pool}
     return rank_items(query.query_id, scored, k if candidates is None else None)

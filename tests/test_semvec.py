@@ -28,7 +28,7 @@ from headingrank.semvec import (
     write_entity_stats,
 )
 
-from conftest import plain_index, ref_norm
+from conftest import BAD_ENTITY_STATS, plain_index, ref_norm
 
 
 def store_of(**vecs):
@@ -81,24 +81,25 @@ def test_text_vector_single_covered_token():
     store = store_of(i=(2.0, 0.0), j=(0.0, 1.0))
     vec = text_vector(["i"], store, ix)
     idf = math.log(2.0 / 1.0)
-    assert not vec.empty
-    assert vec.values == pytest.approx([2.0 * idf, 0.0], abs=1e-12)
+    assert vec.values.tolist() == [2.0 * idf, 0.0]
 
 
 def test_text_vector_df_equals_n_is_zero_but_not_empty():
     ix = plain_index({"d1": "i j", "d2": "i k"})
-    store = store_of(i=(1.0, 1.0))
+    store = store_of(i=(1.0, 1.0), j=(2.0, 0.0))
     vec = text_vector(["i"], store, ix)
-    assert not vec.empty
     assert vec.values == pytest.approx([0.0, 0.0])
+    # "i" adds nothing but is covered: it still counts toward |d|
+    with_j = text_vector(["i", "j"], store, ix)
+    assert with_j.values.tolist() == [2.0 * math.log(2.0) / 2, 0.0]
 
 
 def test_text_vector_oov_flagged_empty():
     ix = plain_index({"d1": "i j", "d2": "j k"})
     store = store_of(i=(1.0, 0.0))
     vec = text_vector(["zz", "qq"], store, ix)
-    assert vec.empty
-    assert vec.values == pytest.approx([0.0, 0.0])
+    assert vec.values.tolist() == [0.0, 0.0]
+    assert vec.norm() == 0.0
 
 
 def test_text_vector_matches_scalar_oracle():
@@ -223,6 +224,21 @@ def test_entity_stats_roundtrip(tmp_path):
     assert path.read_text().startswith("Ndocs\t7\n")
 
 
+@pytest.mark.parametrize("content, message", BAD_ENTITY_STATS)
+def test_load_entity_stats_rejects_values_without_an_idf(tmp_path, content, message):
+    path = tmp_path / "stats.tsv"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_entity_stats(str(path))
+    assert str(err.value).startswith(message)
+
+
+def test_load_entity_stats_accepts_the_bounds(tmp_path):
+    path = tmp_path / "stats.tsv"
+    path.write_text("Ndocs\t1\nE0\t0\nE1\t1\n", encoding="utf-8")
+    assert load_entity_stats(str(path)) == EntityStats({"E0": 0, "E1": 1}, 1)
+
+
 def test_entity_vector_single_entity_hand_value():
     store = store_of(E1=(0.5, 1.0))
     stats = EntityStats(link_doc_freq={"E1": 2}, n_docs=8)
@@ -245,8 +261,12 @@ def test_entity_vector_ldf_equals_ndocs_zero():
     store = store_of(E1=(1.0, 1.0))
     stats = EntityStats(link_doc_freq={"E1": 5}, n_docs=5)
     vec = entity_vector([EntityMention("E1", 2)], store, stats)
-    assert not vec.empty
     assert vec.values == pytest.approx([0.0, 0.0])
+    # E1 adds nothing but is covered: it still counts toward the divisor
+    store = store_of(E1=(1.0, 1.0), E2=(2.0, 0.0))
+    stats = EntityStats(link_doc_freq={"E1": 5, "E2": 1}, n_docs=5)
+    both = entity_vector([EntityMention("E1", 2), EntityMention("E2", 1)], store, stats)
+    assert both.values.tolist() == [2.0 * math.log(5.0) / 2, 0.0]
 
 
 def test_entity_vector_skips_unstored_entities():
@@ -261,24 +281,26 @@ def test_entity_vector_skips_unstored_entities():
 def test_entity_vector_no_coverage_flagged_empty():
     store = store_of(E1=(1.0, 0.0))
     stats = EntityStats(link_doc_freq={}, n_docs=4)
-    assert entity_vector([], store, stats).empty
-    assert entity_vector([EntityMention("EX", 1)], store, stats).empty
+    for mentions in ([], [EntityMention("EX", 1)]):
+        vec = entity_vector(mentions, store, stats)
+        assert vec.values.tolist() == [0.0, 0.0]
+        assert vec.norm() == 0.0
 
 
 # --- cosine ---------------------------------------------------------------
 
 def test_cosine_hand_values():
-    a = DenseVector(values=np.array([1.0, 0.0]), empty=False)
-    b = DenseVector(values=np.array([1.0, 1.0]), empty=False)
+    a = DenseVector(values=np.array([1.0, 0.0]))
+    b = DenseVector(values=np.array([1.0, 1.0]))
     assert cosine(a, b) == pytest.approx(0.70710678, abs=1e-8)
     assert cosine(a, a) == pytest.approx(1.0)
-    c = DenseVector(values=np.array([0.0, 2.0]), empty=False)
+    c = DenseVector(values=np.array([0.0, 2.0]))
     assert cosine(a, c) == 0.0
 
 
 def test_cosine_zero_norm_is_zero():
-    z = DenseVector(values=np.zeros(2), empty=True)
-    a = DenseVector(values=np.array([1.0, 0.0]), empty=False)
+    z = DenseVector(values=np.zeros(2))
+    a = DenseVector(values=np.array([1.0, 0.0]))
     assert cosine(z, a) == 0.0
     assert cosine(a, z) == 0.0
 
@@ -291,23 +313,23 @@ def test_cosine_sparse_pair():
 
 def test_cosine_mixed_spaces_rejected():
     u = SparseVector({"a": 1.0})
-    d = DenseVector(values=np.array([1.0]), empty=False)
+    d = DenseVector(values=np.array([1.0]))
     with pytest.raises(ValueError):
         cosine(u, d)
 
 
 def test_cosine_dimension_mismatch_rejected():
-    a = DenseVector(values=np.array([1.0, 0.0]), empty=False)
-    b = DenseVector(values=np.array([1.0, 0.0, 0.0]), empty=False)
+    a = DenseVector(values=np.array([1.0, 0.0]))
+    b = DenseVector(values=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         cosine(a, b)
 
 
 def test_normalized():
-    a = DenseVector(values=np.array([3.0, 4.0]), empty=False)
+    a = DenseVector(values=np.array([3.0, 4.0]))
     unit = normalized(a)
     assert unit.values == pytest.approx([0.6, 0.8])
-    assert normalized(DenseVector(values=np.zeros(2), empty=True)) is None
+    assert normalized(DenseVector(values=np.zeros(2))) is None
     u = normalized(SparseVector({"a": 3.0, "b": 4.0}))
     assert u.entries["a"] == pytest.approx(0.6)
     assert normalized(SparseVector({})) is None
@@ -320,7 +342,7 @@ def test_dense_vector_keeps_norm_outside_its_fields():
         kept = DenseVector(values=values)
         assert kept.norm() == ref_norm(DenseVector(values=values.copy()))
         assert kept.norm() == kept.norm()
-    assert [f.name for f in dataclasses.fields(DenseVector)] == ["values", "empty"]
+    assert [f.name for f in dataclasses.fields(DenseVector)] == ["values"]
     # equality stays identity (eq=False), before and after the norm is kept
     a, b = DenseVector(values=np.ones(2)), DenseVector(values=np.ones(2))
     assert a == a and a != b
@@ -333,16 +355,16 @@ vec3 = st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=3)
 
 @given(vec3, vec3)
 def test_cosine_symmetric_and_bounded(xs, ys):
-    a = DenseVector(values=np.array(xs), empty=False)
-    b = DenseVector(values=np.array(ys), empty=False)
+    a = DenseVector(values=np.array(xs))
+    b = DenseVector(values=np.array(ys))
     assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-12)
     assert abs(cosine(a, b)) <= 1.0 + 1e-9
 
 
 @given(vec3, st.floats(0.1, 50))
 def test_cosine_scale_invariant(xs, c):
-    a = DenseVector(values=np.array(xs), empty=False)
-    scaled = DenseVector(values=np.array(xs) * c, empty=False)
+    a = DenseVector(values=np.array(xs))
+    scaled = DenseVector(values=np.array(xs) * c)
     if float(np.linalg.norm(a.values)) > 1e-6:
         assert cosine(a, scaled) == pytest.approx(1.0, abs=1e-9)
 
