@@ -131,6 +131,31 @@ def _validate_candidates(pools: Mapping[str, Iterable[str]], ix: Index,
                     f"paragraph {pid!r} in {source} is not in the index")
 
 
+def _check_at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise CliInputError(f"{flag} must be >= 1, got {value}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise CliInputError(f"--alpha must be in (0, 1), got {alpha:g}")
+
+
+def _check_fold_training(queries: Sequence[HeadingQuery], qrels: Qrels,
+                         folds: FoldAssignment, with_rows: set[str]) -> None:
+    """What cross_validate needs of every fold: a training query with a
+    relevant paragraph, and one such query with a feature row."""
+    for f in range(folds.k):
+        train = [q.query_id for q in queries
+                 if folds.fold_of(q.page_id) != f and qrels.relevant(q.query_id)]
+        if not train:
+            raise CliInputError(f"--ltr-folds {folds.k}: no training query of "
+                                f"fold {f} has a relevant paragraph")
+        if with_rows.isdisjoint(train):
+            raise CliInputError(f"--ltr-folds {folds.k}: no training query of "
+                                f"fold {f} with a relevant paragraph has a candidate")
+
+
 def _texts(corpus: Corpus) -> dict[str, str]:
     return {pid: p.text for pid, p in corpus.paragraphs.items()}
 
@@ -181,6 +206,7 @@ def cmd_env(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    _check_at_least_one("--k", args.k)
     corpus = load_corpus(args.corpus)
     texts = _texts(corpus)
     cfg = _token_config(args)
@@ -223,6 +249,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _check_alpha(args.alpha)
     qrels = read_qrels(args.qrels)
     run_a = read_run(args.run_a)
     run_b = read_run(args.run_b)
@@ -275,6 +302,7 @@ def _score_features(args: argparse.Namespace, out_dir: Path) -> tuple[
         FeatureTable, list[str], Qrels, FoldAssignment, dict[str, MetricsReport]]:
     """Check the inputs, write qrels, candidates and scorer runs, return what
     fusion reads; the corpus, index and engines die before fold workers fork."""
+    _check_at_least_one("--candidate-k", args.candidate_k)
     corpus = load_corpus(args.corpus)
     folds = assign_folds(corpus, args.ltr_folds, args.seed)
     scorers = _parse_scorers(args)
@@ -304,9 +332,14 @@ def _score_features(args: argparse.Namespace, out_dir: Path) -> tuple[
             raise CliInputError("cannot ablate the only feature")
 
     qrels = derive_qrels(corpus)
-    write_qrels(qrels, str(out_dir / "qrels.txt"))
-
     candidates = generate_candidates(ix, queries, k=args.candidate_k)
+    with_rows = ({q for q, cs in candidates.items() if cs.paragraph_ids}
+                 if scorers else set())
+    if external is not None:
+        with_rows.update(q for q, r in external.rankings.items() if r.items)
+    _check_fold_training(queries, qrels, folds, with_rows)
+
+    write_qrels(qrels, str(out_dir / "qrels.txt"))
     write_candidates(candidates, str(out_dir / "candidates.tsv"))
 
     runs: list[RunFile] = []
@@ -325,6 +358,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # every parameter and input is checked before the first file is written
+    _check_alpha(args.alpha)
     ca_cfg = CaConfig(seed=derive_seed(args.seed, "ltr"),
                       restarts=args.restarts, iterations=args.iterations)
     table, feature_names, qrels, folds, reports_by_name = _score_features(args, out_dir)

@@ -1,40 +1,41 @@
 """Query expansion: relevance-model terms, entity feedback, and
 heading-support (Rocchio-style) pseudo-relevance vectors.
 
-All three flavors produce an ExpandedQuery that carries the original
-query untouched plus whatever the expander added; downstream scorers
-interpolate the two sides with a single lambda, so lambda=1 always
-reproduces the unexpanded ranking.
+Every flavor produces an ExpandedQuery that carries the original query
+untouched plus what the expander added; downstream scorers interpolate
+the two sides with a single lambda, so lambda=1 always reproduces the
+unexpanded ranking.
 
 rm1_terms and rm1_entities are one relevance model over two kinds of
-feedback evidence. Mixing and Rocchio centroids use the vector
-interface that the sparse and dense vectors share, so they run one
-path in every space.
+feedback evidence, and both hand back weighted keys: (term, weight) or
+(entity, weight) pairs. An ExpandedQuery carries either kind in one
+feedback field, which the scorer sums into its own space with one idf
+sum (index.sparse_sum or semvec.embedding_sum); Rocchio instead
+carries a finished centroid. Mixing and Rocchio centroids use the
+vector interface that the sparse and dense vectors share, so they run
+one path in every space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus, FoldAssignment, HeadingQuery, iter_sections
 from .index import (Index, SparseVector, lm_dirichlet_scores, matching_paragraphs,
-                    rank_items, tfidf_idf)
-from .semvec import (DenseVector, EmbeddingStore, EntityLinker, Vector, embedding_sum,
-                     link_or_warn, normalized)
+                    rank_items)
+from .semvec import EntityLinker, Vector, link_or_warn, normalized
 from .textproc import heading_key
 from .utils import ordered_sum
 
 
-@dataclass(frozen=True)
-class WeightedTerm:
+class WeightedTerm(NamedTuple):
     term: str
     weight: float
 
 
-@dataclass(frozen=True)
-class WeightedEntity:
+class WeightedEntity(NamedTuple):
     entity_id: str
     weight: float
 
@@ -56,8 +57,8 @@ class HeadingSupportIndex:
 @dataclass(frozen=True)
 class ExpandedQuery:
     original: HeadingQuery
-    added_terms: tuple[WeightedTerm, ...] = ()
-    added_entities: tuple[WeightedEntity, ...] = ()
+    # Relevance-model feedback as (term or entity, weight) pairs.
+    feedback: tuple[tuple[str, float], ...] = ()
     interpolation: float = 1.0  # weight on the original query side
     # Pre-built feedback vector in the active scoring space (set by the
     # Rocchio expander, where the feedback evidence is whole passages
@@ -69,8 +70,7 @@ class ExpandedQuery:
 
     @property
     def is_expanded(self) -> bool:
-        return bool(self.added_terms or self.added_entities
-                    or self.expansion_vector is not None)
+        return bool(self.feedback or self.expansion_vector is not None)
 
 
 def _feedback_docs(ix: Index, terms: Sequence[str], fb_docs: int,
@@ -131,25 +131,6 @@ def rm1_terms(ix: Index, query: HeadingQuery, fb_docs: int = 10,
             _relevance_model(ix, query, fb_docs, fb_terms, mu, evidence)]
 
 
-def expand_rm3(query: HeadingQuery, terms: Sequence[WeightedTerm],
-               lam: float = 0.5) -> ExpandedQuery:
-    """Interpolate the original query with relevance-model terms.
-
-    No feedback terms at all leaves the query unchanged (rather than
-    diluting it against an empty distribution).
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must be in [0, 1]")
-    if not terms:
-        return ExpandedQuery(original=query)
-    return ExpandedQuery(
-        original=query,
-        added_terms=tuple(terms),
-        interpolation=lam,
-        match_terms=tuple(t.term for t in terms),
-    )
-
-
 def rm1_entities(ix: Index, texts: Mapping[str, str], query: HeadingQuery,
                  linker: EntityLinker, fb_docs: int = 10, fb_entities: int = 10,
                  mu: float = 1500.0) -> list[WeightedEntity]:
@@ -168,19 +149,6 @@ def rm1_entities(ix: Index, texts: Mapping[str, str], query: HeadingQuery,
 
     return [WeightedEntity(e, w) for e, w in
             _relevance_model(ix, query, fb_docs, fb_entities, mu, evidence)]
-
-
-def expand_entities(query: HeadingQuery, entities: Sequence[WeightedEntity],
-                    lam: float = 0.5) -> ExpandedQuery:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must be in [0, 1]")
-    if not entities:
-        return ExpandedQuery(original=query)
-    return ExpandedQuery(
-        original=query,
-        added_entities=tuple(entities),
-        interpolation=lam,
-    )
 
 
 def build_heading_support(corpus: Corpus, folds: FoldAssignment | None = None,
@@ -254,31 +222,6 @@ def _mean_vector(vectors: Sequence[Vector]) -> Vector:
     return total.divided(len(vectors))
 
 
-def term_feedback_vector(terms: Sequence[WeightedTerm], ix: Index) -> SparseVector:
-    """Feedback terms as a sparse vector: weight(t) * idf(t) per axis.
-
-    Terms the index has never seen carry no axis (idf undefined).
-    """
-    entries: dict[str, float] = {}
-    for wt in terms:
-        idf = tfidf_idf(ix.doc_freq, ix.n_docs, wt.term)
-        if idf == 0.0:
-            continue
-        entries[wt.term] = entries.get(wt.term, 0.0) + wt.weight * idf
-    return SparseVector(entries=entries)
-
-
-def dense_feedback_vector(pairs: Iterable[tuple[str, float]], store: EmbeddingStore,
-                          doc_freq: Mapping[str, int], n_docs: int) -> DenseVector:
-    """Weighted feedback terms or entities mapped into the embedding space.
-
-    Sums weight * idf * vector over the (key, weight) pairs, skipping a
-    key without a vector or with idf 0; zero when nothing was added.
-    """
-    return embedding_sum(((key, weight, 0) for key, weight in pairs),
-                         store, doc_freq, n_docs)
-
-
 def mix_vectors(original: Vector, feedback: Vector | None, lam: float) -> Vector:
     """lam * unit(original) + (1 - lam) * unit(feedback).
 
@@ -312,6 +255,6 @@ def mixed_term_weights(eq: ExpandedQuery) -> dict[str, float]:
         for t in terms:
             weights[t] = weights.get(t, 0.0) + per_occurrence
     if lam < 1.0:
-        for wt in eq.added_terms:
-            weights[wt.term] = weights.get(wt.term, 0.0) + (1.0 - lam) * wt.weight
+        for term, weight in eq.feedback:
+            weights[term] = weights.get(term, 0.0) + (1.0 - lam) * weight
     return weights

@@ -4,6 +4,8 @@ Scoring functions:
   - bm25_scores: Okapi BM25 of a pool, with a positive idf,
     ln(1 + (N+0.5)/(df+0.5)); bm25_score is one paragraph of it.
   - tfidf_vector: logarithmic L2-normalized TF-IDF, (1+ln tf) * ln(N/df).
+    It is one sparse_sum, the idf sum that also builds the tf-idf
+    feedback vector of relevance-model expansion.
   - lm_dirichlet_scores: Dirichlet-smoothed query log-likelihood of a pool.
 
 All logs are natural; cosine and argmax ranking are invariant to the
@@ -119,7 +121,9 @@ class Ranking:
 
 
 def rank_items(query_id: str, scored: Mapping[str, float], k: int | None = None) -> Ranking:
-    """Order scored paragraphs under the tie rule and truncate to k."""
+    """Order scored paragraphs under the tie rule and truncate to k >= 1."""
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
     ordered = sorted(scored.items(), key=lambda item: (-item[1], item[0]))
     if k is not None:
         ordered = ordered[:k]
@@ -186,6 +190,21 @@ def tfidf_idf(doc_freq: Mapping[str, int], n_docs: int, key: str) -> float:
     return math.log(n_docs / df)
 
 
+def sparse_sum(weighted: Iterable[tuple[str, float]], doc_freq: Mapping[str, int],
+               n_docs: int) -> SparseVector:
+    """Σ coef * ln(n_docs / df(key)) * e_key over (key, coef) pairs.
+
+    The sparse twin of semvec.embedding_sum: a key with idf 0 carries
+    no axis, and a repeated key adds up on its one axis, in pair order.
+    """
+    entries: dict[str, float] = {}
+    for key, coef in weighted:
+        idf = tfidf_idf(doc_freq, n_docs, key)
+        if idf != 0.0:
+            entries[key] = entries.get(key, 0.0) + coef * idf
+    return SparseVector(entries)
+
+
 def bm25_idf(ix: Index, term: str) -> float:
     df = ix.doc_freq.get(term, 0)
     return math.log(1.0 + (ix.n_docs + 0.5) / (df + 0.5))
@@ -236,13 +255,8 @@ def tfidf_vector(ix: Index, bag: Sequence[str] | Mapping[str, int]) -> SparseVec
     unit length unless empty. The bag may be given pre-counted as a
     term -> frequency map.
     """
-    entries: dict[str, float] = {}
-    for t, tf in Counter(bag).items():
-        idf = tfidf_idf(ix.doc_freq, ix.n_docs, t)
-        if idf == 0.0:
-            continue
-        entries[t] = (1.0 + math.log(tf)) * idf
-    vec = SparseVector(entries)
+    vec = sparse_sum(((t, 1.0 + math.log(tf)) for t, tf in Counter(bag).items()),
+                     ix.doc_freq, ix.n_docs)
     norm = vec.norm()
     return vec.divided(norm) if norm > 0.0 else vec
 

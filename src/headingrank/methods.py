@@ -6,6 +6,10 @@ into rankings either over the full collection or over a fixed
 candidate pool. Combining a method with an expansion it cannot express
 (bm25 has no vector space for Rocchio, entity feedback only lives in
 the entity space) is rejected up front.
+
+Relevance-model feedback reaches the scorer one way, as the (term or
+entity, weight) pairs of ExpandedQuery.feedback: bm25 weights its terms
+with them, and a vector method sums them into its space with one idf sum.
 """
 
 from __future__ import annotations
@@ -15,14 +19,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import HeadingQuery
-from .expansion import (ExpandedQuery, HeadingSupportIndex, dense_feedback_vector,
-                        expand_entities, expand_rm3, mix_vectors,
-                        mixed_term_weights, rm1_entities, rm1_terms,
-                        rocchio_expand, term_feedback_vector)
+from .expansion import (ExpandedQuery, HeadingSupportIndex, mix_vectors,
+                        mixed_term_weights, rm1_entities, rm1_terms, rocchio_expand)
 from .index import (Bm25Params, Index, Ranking, bm25_scores, matching_paragraphs,
-                    rank_items, tfidf_vector)
+                    rank_items, sparse_sum, tfidf_vector)
 from .semvec import (EmbeddingStore, EntityLinker, EntityStats, Vector, cosine,
-                     entity_vector, link_or_warn, text_vector)
+                     embedding_sum, entity_vector, link_or_warn, text_vector)
 
 log = logging.getLogger(__name__)
 
@@ -151,46 +153,47 @@ class MethodEngine:
     # --- query expansion ----------------------------------------------
 
     def expand(self, query: HeadingQuery) -> ExpandedQuery:
+        """The query with rm1 terms (which also widen the full-collection
+        pool), ent-rm1 entities or Rocchio's centroid; or unexpanded."""
         p = self.params
-        if p.expansion == "none":
-            return ExpandedQuery(original=query)
+        if p.expansion == "rocchio":
+            if self.support is None:
+                return ExpandedQuery(original=query)
+            return rocchio_expand(query, self.support, self.doc_vector,
+                                  max_passages=p.rocchio_passages, lam=p.lam)
+        feedback: tuple[tuple[str, float], ...] = ()
         if p.expansion == "rm1":
-            terms = rm1_terms(self.ix, query, fb_docs=p.fb_docs,
-                              fb_terms=p.fb_terms, mu=p.mu)
-            return expand_rm3(query, terms, lam=p.lam)
-        if p.expansion == "ent-rm1":
+            feedback = tuple(rm1_terms(self.ix, query, fb_docs=p.fb_docs,
+                                       fb_terms=p.fb_terms, mu=p.mu))
+        elif p.expansion == "ent-rm1":
             assert self.linker is not None
-            entities = rm1_entities(self.ix, self.texts, query, self.linker,
-                                    fb_docs=p.fb_docs, fb_entities=p.fb_entities,
-                                    mu=p.mu)
-            return expand_entities(query, entities, lam=p.lam)
-        assert p.expansion == "rocchio"
-        if self.support is None:
+            feedback = tuple(rm1_entities(self.ix, self.texts, query, self.linker,
+                                          fb_docs=p.fb_docs, fb_entities=p.fb_entities,
+                                          mu=p.mu))
+        if not feedback:
             return ExpandedQuery(original=query)
-        return rocchio_expand(query, self.support, self.doc_vector,
-                              max_passages=p.rocchio_passages, lam=p.lam)
+        match_terms = tuple(t for t, _ in feedback) if p.expansion == "rm1" else ()
+        return ExpandedQuery(original=query, feedback=feedback,
+                             interpolation=p.lam, match_terms=match_terms)
 
     # --- query representations ----------------------------------------
 
     def _feedback_vector(self, eq: ExpandedQuery) -> Vector | None:
-        p = self.params
-        if eq.expansion_vector is not None:
+        """Rocchio's centroid, or Σ weight * idf * vector(key) over the
+        feedback pairs in the method's space."""
+        if not eq.feedback:
             return eq.expansion_vector
-        if eq.added_terms:
-            if p.method == "tfidf-cs":
-                return term_feedback_vector(eq.added_terms, self.ix)
-            if p.method == "glove-cs":
-                assert self.embeddings is not None
-                return dense_feedback_vector(
-                    ((wt.term, wt.weight) for wt in eq.added_terms),
-                    self.embeddings, self.ix.doc_freq, self.ix.n_docs)
-        if eq.added_entities and p.method == "entity-cs":
-            assert self.embeddings is not None and self.entity_stats is not None
-            stats = self.entity_stats
-            return dense_feedback_vector(
-                ((we.entity_id, we.weight) for we in eq.added_entities),
-                self.embeddings, stats.link_doc_freq, stats.n_docs)
-        return None
+        method = self.params.method
+        if method == "tfidf-cs":
+            return sparse_sum(eq.feedback, self.ix.doc_freq, self.ix.n_docs)
+        assert self.embeddings is not None
+        if method == "glove-cs":
+            doc_freq, n_docs = self.ix.doc_freq, self.ix.n_docs
+        else:
+            assert self.entity_stats is not None
+            doc_freq, n_docs = self.entity_stats.link_doc_freq, self.entity_stats.n_docs
+        return embedding_sum(((key, weight, 0) for key, weight in eq.feedback),
+                             self.embeddings, doc_freq, n_docs)
 
     # --- scoring --------------------------------------------------------
 

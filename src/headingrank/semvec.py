@@ -271,18 +271,27 @@ def build_entity_stats(texts: Mapping[str, str], linker: EntityLinker) -> Entity
     return EntityStats(link_doc_freq=ldf, n_docs=len(texts))
 
 
+def _line_int(line_no: int, what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"line {line_no}: {what} must be an integer, "
+                         f"got {text!r}") from None
+
+
 def load_entity_stats(path: str) -> EntityStats:
     """`Ndocs<TAB>n` header, then `entityId<TAB>linkDocFreq` rows.
 
-    n must be at least 1 and every link doc freq within [0, n], or idf
-    would be undefined or negative; a violation names its line.
+    n must be an integer of at least 1 and every link doc freq an
+    integer within [0, n], or idf would be undefined or negative; a
+    violation names its line.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1)
                  if ln.strip()]
     if not lines or not lines[0][1].startswith("Ndocs\t"):
         raise ValueError("entity stats file must start with 'Ndocs<TAB>n'")
-    n_docs = int(lines[0][1].split("\t", 1)[1])
+    n_docs = _line_int(lines[0][0], "Ndocs", lines[0][1].split("\t", 1)[1])
     if n_docs < 1:
         raise ValueError(f"line {lines[0][0]}: Ndocs must be >= 1, got {n_docs}")
     ldf: dict[str, int] = {}
@@ -290,7 +299,7 @@ def load_entity_stats(path: str) -> EntityStats:
         if "\t" not in line:
             raise ValueError(f"line {line_no}: expected entityId<TAB>linkDocFreq")
         entity_id, count = line.split("\t", 1)
-        ldf[entity_id] = int(count)
+        ldf[entity_id] = _line_int(line_no, f"link doc freq of {entity_id!r}", count)
         if not 0 <= ldf[entity_id] <= n_docs:
             raise ValueError(f"line {line_no}: link doc freq {ldf[entity_id]} of "
                              f"{entity_id!r} is outside [0, Ndocs={n_docs}]")

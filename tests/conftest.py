@@ -10,6 +10,7 @@ import math
 import os
 import signal
 import sys
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -69,13 +70,15 @@ def two_page_corpus() -> Corpus:
     ])
 
 
-# --entity-stats contents with no valid idf, each with the message's start;
-# the file's line numbers count its blank lines
+# --entity-stats contents with no valid idf or no integer count, each with
+# the message's start; the file's line numbers count its blank lines
 BAD_ENTITY_STATS = [
     ("Ndocs\t0\nE1\t0\n", "line 1: Ndocs must be >= 1, got 0"),
     ("\nNdocs\t-2\n", "line 2: Ndocs must be >= 1, got -2"),
     ("Ndocs\t4\nE1\t4\n\nE2\t5\n", "line 4: link doc freq 5 of 'E2'"),
     ("Ndocs\t4\nE1\t-1\n", "line 2: link doc freq -1 of 'E1'"),
+    ("Ndocs\t4\nE1\tx\n", "line 2: link doc freq of 'E1' must be an integer, got 'x'"),
+    ("Ndocs\tfive\nE1\t1\n", "line 1: Ndocs must be an integer, got 'five'"),
 ]
 
 
@@ -221,6 +224,54 @@ def ref_rm1_entities(ix, texts, query, linker, fb_docs, fb_entities, mu):
         except LinkerError:
             return []
     return _ref_relevance_model(feedback, weights_of, fb_entities)
+
+
+# --- tf-idf vectors and relevance-model feedback vectors, one routine each ----
+# tfidf_vector and the per-kind feedback vectors as they were written before
+# the feedback travelled as one field of weighted keys and tf-idf vectors and
+# feedback vectors shared one idf sum. Tests require the library to match
+# them bit for bit.
+
+def _ref_idf(doc_freq, n_docs, key):
+    df = doc_freq.get(key, 0)
+    return 0.0 if df == 0 else math.log(n_docs / df)
+
+
+def ref_tfidf_vector(ix, bag):
+    entries = {}
+    for t, tf in Counter(bag).items():
+        idf = _ref_idf(ix.doc_freq, ix.n_docs, t)
+        if idf == 0.0:
+            continue
+        entries[t] = (1.0 + math.log(tf)) * idf
+    norm = ref_norm(SparseVector(entries))
+    if norm > 0.0:
+        entries = {t: w / norm for t, w in entries.items()}
+    return SparseVector(entries)
+
+
+def ref_term_feedback_vector(pairs, ix):
+    """tf-idf space: weight * idf per term axis, repeated terms added up."""
+    entries = {}
+    for term, weight in pairs:
+        idf = _ref_idf(ix.doc_freq, ix.n_docs, term)
+        if idf == 0.0:
+            continue
+        entries[term] = entries.get(term, 0.0) + weight * idf
+    return SparseVector(entries)
+
+
+def ref_dense_feedback_vector(pairs, store, doc_freq, n_docs):
+    """Word or entity space: Σ weight * idf * vector(key), undivided."""
+    acc = np.zeros(store.dim, dtype=np.float64)
+    for key, weight in pairs:
+        vec = store.get(key)
+        if vec is None:
+            continue
+        idf = _ref_idf(doc_freq, n_docs, key)
+        if idf != 0.0:
+            acc += weight * idf * vec
+    return DenseVector(acc)
 
 
 # --- fold worker processes ------------------------------------------------------

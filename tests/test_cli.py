@@ -232,6 +232,15 @@ def test_run_rejects_zero_mu(corpus_path, tmp_path, capsys):
     assert not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_run_rejects_depth_below_one_before_writing(corpus_path, tmp_path, capsys, k):
+    code = run_cli("run", "--corpus", corpus_path, "--k", k,
+                   "--out", tmp_path / "r.txt")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: --k must be >= 1, got {k}")
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_run_dense_method_needs_embeddings_flag(corpus_path, tmp_path, capsys):
     code = run_cli("run", "--corpus", corpus_path, "--method", "glove-cs",
                    "--out", tmp_path / "r.txt")
@@ -329,6 +338,17 @@ def test_compare_run_against_itself_is_never_significant(run_and_qrels, capsys):
     assert "p-value\t1\n" in text
     assert "a-significantly-worse\tno" in text
     assert "a-significantly-better\tno" in text
+
+
+@pytest.mark.parametrize("alpha", ["-3", "0", "1", "1.5", "nan"])
+def test_compare_rejects_alpha_outside_the_unit_interval(run_and_qrels, tmp_path,
+                                                          capsys, alpha):
+    run, qrels = run_and_qrels
+    out = tmp_path / "cmp.txt"
+    assert run_cli("compare", "--run-a", run, "--run-b", run, "--qrels", qrels,
+                   "--alpha", alpha, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: --alpha must be in (0, 1)")
+    assert not out.exists()
 
 
 # --- pipeline -----------------------------------------------------------------
@@ -475,7 +495,8 @@ def test_pipeline_rejects_external_rows_outside_corpus(corpus_path, tmp_path,
 
 @pytest.mark.parametrize("flag", ["--restarts=0", "--iterations=0",
                                   "--ltr-folds=1", "--ltr-folds=7", "--mu=0",
-                                  "--scorers=bm25,glove-cs", "--scorers=,"])
+                                  "--scorers=bm25,glove-cs", "--scorers=,",
+                                  "--candidate-k=0", "--alpha=0", "--alpha=1.5"])
 def test_pipeline_rejects_bad_parameters_before_writing(corpus_path, tmp_path,
                                                         capsys, flag):
     # the corpus has 6 pages; a repeated --ltr-folds takes the last value
@@ -483,6 +504,33 @@ def test_pipeline_rejects_bad_parameters_before_writing(corpus_path, tmp_path,
     assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
                    *PIPELINE_ARGS, flag) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("flow, lakes, message", [
+    # page b has one heading and no paragraph, so the fold that tests
+    # page a trains on no relevant paragraph
+    ("the river flow rate", None, "has a relevant paragraph"),
+    # no paragraph shares a term with the query of page a, so the fold
+    # that tests page b trains on no feature row
+    ("sediment settles", [("p3", "season varies")],
+     "with a relevant paragraph has a candidate"),
+])
+def test_pipeline_rejects_a_fold_it_cannot_train_before_writing(
+        tmp_path, capsys, flow, lakes, message):
+    corpus = corpus_from_pages([
+        page("a", "Rivers", [section("Flow", [("p1", "water downhill"),
+                                              ("p2", flow)])]),
+        page("b", "Lakes", [section("Depth", lakes)]),
+    ])
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, str(path))
+    out_dir = tmp_path / "exp"
+    assert run_cli("pipeline", "--corpus", path, "--out-dir", out_dir,
+                   "--ltr-folds", "2", "--restarts", "1", "--iterations", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --ltr-folds 2: no training query of fold ")
+    assert err.rstrip().endswith(message)
     assert list(out_dir.iterdir()) == []
 
 

@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,30 +17,31 @@ from headingrank.expansion import (
     _feedback_docs,
     _mean_vector,
     build_heading_support,
-    dense_feedback_vector,
-    expand_entities,
-    expand_rm3,
     mix_vectors,
     mixed_term_weights,
     rm1_entities,
     rm1_terms,
     rocchio_expand,
-    term_feedback_vector,
 )
-from headingrank.index import SparseVector, bm25_score, rank_items, tfidf_vector
+from headingrank.index import (SparseVector, bm25_score, rank_items, sparse_sum,
+                               tfidf_vector)
+from headingrank.methods import MethodEngine, MethodParams
 from headingrank.semvec import (
     DenseVector,
     EntityStats,
     GazetteerLinker,
     LinkerError,
+    build_entity_stats,
     cosine,
+    embedding_sum,
     load_embeddings,
     normalized,
 )
 
-from conftest import (corpus_from_pages, page, plain_index, ref_feedback_docs,
-                      ref_mean_vector, ref_mix_vectors, ref_rm1_entities,
-                      ref_rm1_terms, section)
+from conftest import (corpus_from_pages, page, plain_index, ref_dense_feedback_vector,
+                      ref_feedback_docs, ref_mean_vector, ref_mix_vectors,
+                      ref_rm1_entities, ref_rm1_terms, ref_term_feedback_vector,
+                      ref_tfidf_vector, section)
 
 
 def hq(terms, page_id="pg", heading="H", qid="pg/H"):
@@ -146,29 +148,46 @@ def test_rm1_weight_properties(query_terms, fb_docs, fb_terms):
 
 # --- RM3 interpolation ----------------------------------------------------
 
-def test_expand_rm3_fields():
-    q = hq(["a"])
-    eq = expand_rm3(q, [WeightedTerm("x", 1.0)], lam=0.3)
+def rm1_engine(texts, **overrides):
+    return MethodEngine(plain_index(texts), texts,
+                        MethodParams(method="bm25", expansion="rm1", **overrides))
+
+
+def test_rm1_expand_fields():
+    eq = rm1_engine({"d1": "a x"}, lam=0.3).expand(hq(["a"]))
     assert eq.is_expanded
+    assert eq.feedback == (("x", 1.0),)
     assert eq.interpolation == 0.3
     assert eq.match_terms == ("x",)
+    assert eq.expansion_vector is None
 
 
-def test_expand_rm3_empty_feedback_unchanged():
-    eq = expand_rm3(hq(["a"]), [], lam=0.3)
+def test_rm1_expand_feedback_is_the_relevance_model():
+    texts = {"d1": "q x x y", "d2": "q q y z z"}
+    eq = rm1_engine(texts, mu=7.0, fb_docs=2).expand(hq(["q"]))
+    assert eq.feedback == tuple(rm1_terms(plain_index(texts), hq(["q"]),
+                                          fb_docs=2, mu=7.0))
+    assert eq.match_terms == tuple(t for t, _ in eq.feedback)
+
+
+def test_rm1_expand_empty_feedback_unchanged():
+    eq = rm1_engine({"d1": "a x"}, lam=0.3).expand(hq(["zz"]))
     assert not eq.is_expanded
+    assert eq.feedback == ()
     assert eq.interpolation == 1.0
+    assert eq.match_terms == ()
 
 
-def test_expand_rm3_validates_lambda():
-    with pytest.raises(ValueError):
-        expand_rm3(hq(["a"]), [WeightedTerm("x", 1.0)], lam=1.5)
+def test_expansion_validates_lambda():
+    with pytest.raises(ValueError, match="lambda"):
+        MethodParams(method="bm25", expansion="rm1", lam=1.5)
+    with pytest.raises(ValueError, match="lambda"):
+        MethodParams(method="entity-cs", expansion="ent-rm1", lam=-0.1)
 
 
 def test_mixed_term_weights_formula():
     eq = ExpandedQuery(original=hq(["a", "b", "a"]),
-                       added_terms=(WeightedTerm("c", 0.75),
-                                    WeightedTerm("a", 0.25)),
+                       feedback=(("c", 0.75), ("a", 0.25)),
                        interpolation=0.5)
     w = mixed_term_weights(eq)
     assert w["b"] == pytest.approx(0.5 / 3.0)
@@ -181,7 +200,7 @@ def test_mixed_term_weights_formula():
 
 def test_mixed_term_weights_lambda_one_uniform():
     eq = ExpandedQuery(original=hq(["a", "b"]),
-                       added_terms=(WeightedTerm("c", 1.0),),
+                       feedback=(("c", 1.0),),
                        interpolation=1.0)
     assert mixed_term_weights(eq) == {"a": 0.5, "b": 0.5}
 
@@ -190,7 +209,7 @@ def test_lambda_one_preserves_bm25_order():
     ix = plain_index({"d1": "a a x", "d2": "a y", "d3": "x y"})
     q = hq(["a", "x"])
     plain_scores = {p: bm25_score(ix, list(q.terms), p) for p in ("d1", "d2", "d3")}
-    eq = ExpandedQuery(original=q, added_terms=(WeightedTerm("y", 1.0),),
+    eq = ExpandedQuery(original=q, feedback=(("y", 1.0),),
                        interpolation=1.0)
     mixed = mixed_term_weights(eq)
     mixed_scores = {
@@ -237,12 +256,24 @@ def test_rm1_entities_none_linked():
     assert rm1_entities(ix, texts, hq(["q"]), linker) == []
 
 
-def test_expand_entities_empty_unchanged():
-    eq = expand_entities(hq(["a"]), [], lam=0.4)
+def ent_rm1_engine(texts, **overrides):
+    linker = GazetteerLinker({"alpha": "E"})
+    return MethodEngine(plain_index(texts), texts,
+                        MethodParams(method="entity-cs", expansion="ent-rm1",
+                                     **overrides),
+                        embeddings=load_embeddings(["E 1.0 0.0"]), linker=linker,
+                        entity_stats=build_entity_stats(texts, linker))
+
+
+def test_ent_rm1_expand_empty_unchanged():
+    eq = ent_rm1_engine({"d1": "q plain words"}, lam=0.4).expand(hq(["q"]))
     assert not eq.is_expanded
-    eq = expand_entities(hq(["a"]), [WeightedEntity("E", 1.0)], lam=0.4)
-    assert eq.added_entities == (WeightedEntity("E", 1.0),)
+    assert eq.feedback == ()
+    assert eq.interpolation == 1.0
+    eq = ent_rm1_engine({"d1": "q alpha"}, lam=0.4).expand(hq(["q"]))
+    assert eq.feedback == (WeightedEntity("E", 1.0),) == (("E", 1.0),)
     assert eq.interpolation == 0.4
+    assert eq.match_terms == ()  # entities widen no term pool
 
 
 # --- heading support ------------------------------------------------------
@@ -389,7 +420,7 @@ def test_term_feedback_vector_weights_by_idf():
     ix = plain_index({"d1": "x y", "d2": "y z", "d3": "w w", "d4": "w v"})
     terms = [WeightedTerm("x", 0.6), WeightedTerm("ghost", 0.3),
              WeightedTerm("y", 0.1)]
-    vec = term_feedback_vector(terms, ix)
+    vec = sparse_sum(terms, ix.doc_freq, ix.n_docs)
     assert vec.entries["x"] == pytest.approx(0.6 * math.log(4.0 / 1.0))
     assert vec.entries["y"] == pytest.approx(0.1 * math.log(4.0 / 2.0))
     assert "ghost" not in vec.entries
@@ -397,25 +428,25 @@ def test_term_feedback_vector_weights_by_idf():
 
 def test_term_feedback_vector_drops_idf_zero():
     ix = plain_index({"d1": "x a", "d2": "x b"})
-    vec = term_feedback_vector([WeightedTerm("x", 1.0)], ix)
+    vec = sparse_sum([WeightedTerm("x", 1.0)], ix.doc_freq, ix.n_docs)
     assert vec.entries == {}
 
 
 def test_term_feedback_dense():
     ix = plain_index({"d1": "x y", "d2": "y z"})
     store = load_embeddings(["x 1.0 0.0", "z 0.0 1.0"])
-    vec = dense_feedback_vector([("x", 0.5), ("q", 0.5)], store,
-                                ix.doc_freq, ix.n_docs)
+    vec = embedding_sum([("x", 0.5, 0), ("q", 0.5, 0)], store,
+                        ix.doc_freq, ix.n_docs)
     assert vec.values.tolist() == [0.5 * math.log(2.0), 0.0]
-    empty = dense_feedback_vector([("q", 1.0)], store, ix.doc_freq, ix.n_docs)
+    empty = embedding_sum([("q", 1.0, 0)], store, ix.doc_freq, ix.n_docs)
     assert empty.values.tolist() == [0.0, 0.0]
 
 
 def test_entity_feedback_vector():
     store = load_embeddings(["E1 1.0 0.0", "E2 0.0 2.0"])
     stats = EntityStats(link_doc_freq={"E1": 1, "E2": 4}, n_docs=4)
-    vec = dense_feedback_vector([("E1", 0.7), ("E2", 0.3)], store,
-                                stats.link_doc_freq, stats.n_docs)
+    vec = embedding_sum([("E1", 0.7, 0), ("E2", 0.3, 0)], store,
+                        stats.link_doc_freq, stats.n_docs)
     # E2 has idf 0 and contributes nothing.
     assert vec.values == pytest.approx([0.7 * math.log(4.0), 0.0])
 
@@ -546,3 +577,55 @@ def test_rm1_pair_is_bitwise_the_reference(rng):
                                      fb_entities=keep, mu=mu)]
         assert got == [(e, w.hex()) for e, w in
                        ref_rm1_entities(ix, texts, q, linker, fb_docs, keep, mu)]
+
+
+# "every" is in each paragraph (idf 0) and "ghost" in none (unseen)
+VOCAB = ["a", "b", "c", "d", "every", "ghost"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(VOCAB[:4]), max_size=5),
+                min_size=1, max_size=6),
+       st.lists(st.sampled_from(VOCAB), max_size=8),
+       st.lists(st.tuples(st.sampled_from(VOCAB), FLOATS), max_size=8))
+@example([["a"], ["b"]], ["a", "a", "every", "ghost", "b", "a"],
+         [("a", 0.5), ("every", 0.25), ("ghost", 0.125), ("a", 0.125)])
+@example([["a"]], ["every"], [("b", -0.0), ("a", -0.0)])
+def test_tfidf_query_and_feedback_vectors_are_bitwise_the_reference(docs, bag, pairs):
+    texts = {f"d{i}": " ".join(words + ["every"]) for i, words in enumerate(docs)}
+    ix = plain_index(texts)
+    assert bits(tfidf_vector(ix, bag)) == bits(ref_tfidf_vector(ix, bag))
+    assert bits(tfidf_vector(ix, Counter(bag))) == bits(ref_tfidf_vector(ix, bag))
+    eng = MethodEngine(ix, texts, MethodParams(method="tfidf-cs", expansion="rm1"))
+    eq = ExpandedQuery(original=hq(["a"]), feedback=tuple(pairs), interpolation=0.5)
+    want = ref_term_feedback_vector(pairs, ix) if pairs else None
+    assert bits(eng._feedback_vector(eq)) == bits(want)
+
+
+def test_feedback_vector_is_the_parent_sum_in_every_space():
+    # the engine's feedback vector, from real rm1 and ent-rm1 feedback,
+    # against one reference routine per space
+    texts = {"d1": "q alpha beta beta", "d2": "q gamma alpha", "d3": "beta gamma",
+             "d4": "q alpha"}
+    ix = plain_index(texts)
+    store = load_embeddings(["alpha 1.0 0.5", "beta -0.25 2.0", "q 3.0 1.0",
+                             "E_a 1.0 0.0", "E_b 0.5 -1.0"])
+    linker = GazetteerLinker({"alpha": "E_a", "beta": "E_b", "gamma": "E_g"})
+    stats = build_entity_stats(texts, linker)
+    q = hq(["q"])
+    for method, exp in [("tfidf-cs", "rm1"), ("glove-cs", "rm1"),
+                        ("entity-cs", "ent-rm1")]:
+        eng = MethodEngine(ix, texts, MethodParams(method=method, expansion=exp),
+                           embeddings=store, linker=linker, entity_stats=stats)
+        eq = eng.expand(q)
+        assert eq.is_expanded and eq.expansion_vector is None
+        if method == "tfidf-cs":
+            want = ref_term_feedback_vector(eq.feedback, ix)
+        elif method == "glove-cs":
+            want = ref_dense_feedback_vector(eq.feedback, store, ix.doc_freq, ix.n_docs)
+        else:
+            want = ref_dense_feedback_vector(eq.feedback, store, stats.link_doc_freq,
+                                             stats.n_docs)
+        got = eng._feedback_vector(eq)
+        assert got.norm() > 0.0
+        assert bits(got) == bits(want)

@@ -162,6 +162,13 @@ def test_rank_items_tie_rule():
     assert rank_items("q", {"pa": 1.0, "pb": 2.0}, k=1).paragraph_ids() == ["pb"]
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_rank_items_rejects_depth_below_one(k):
+    # a negative slice would silently drop the last paragraphs
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        rank_items("q", {"pa": 1.0, "pb": 2.0}, k=k)
+
+
 def test_matching_paragraphs(three_doc_index):
     assert matching_paragraphs(three_doc_index, ["a"]) == {"d1", "d3"}
     assert matching_paragraphs(three_doc_index, ["a", "e"]) == {"d1", "d3"}
