@@ -63,7 +63,8 @@ def _method_params(args: argparse.Namespace, method: str,
     )
 
 
-def _load_resources(args: argparse.Namespace, texts: Mapping[str, str],
+def _load_resources(args: argparse.Namespace, corpus: Corpus, texts: Mapping[str, str],
+                    folds: FoldAssignment | None,
                     scorers: Sequence[tuple[str, MethodParams]]) -> dict[str, object]:
     """MethodEngine keyword arguments holding every resource a scorer needs.
 
@@ -71,6 +72,8 @@ def _load_resources(args: argparse.Namespace, texts: Mapping[str, str],
     then loads each needed resource once, so a command meets a missing
     flag or a malformed file before it writes anything. Entity link
     statistics come from --entity-stats or, without it, from the corpus.
+    A Rocchio scorer gets the one heading support index of the command,
+    built over every page with folds, which holds each query's fold out.
     """
     for name, params in scorers:
         if params.needs_embeddings and not args.embeddings:
@@ -86,37 +89,17 @@ def _load_resources(args: argparse.Namespace, texts: Mapping[str, str],
         res["entity_stats"] = (load_entity_stats(args.entity_stats)
                                if args.entity_stats
                                else build_entity_stats(texts, res["linker"]))
+    if any(params.expansion == "rocchio" for _, params in scorers):
+        res["support"] = build_heading_support(corpus, folds)
     return res
-
-
-def _build_engine(params: MethodParams, ix: Index, texts: Mapping[str, str],
-                  res: Mapping[str, object], corpus: Corpus,
-                  folds: FoldAssignment | None) -> tuple[MethodEngine, dict[int, object] | None]:
-    """Engine plus, for Rocchio, the per-held-out-fold support indexes."""
-    supports = None
-    if params.expansion == "rocchio":
-        assert folds is not None
-        supports = {f: build_heading_support(corpus, folds, f)
-                    for f in range(folds.k)}
-    engine = MethodEngine(ix, texts, params=params,
-                          support=supports[0] if supports else None, **res)
-    return engine, supports
 
 
 def _rank_queries(engine: MethodEngine, queries: Sequence[HeadingQuery],
                   candidates: Mapping[str, CandidateSet] | None,
-                  k: int, folds: FoldAssignment | None,
-                  supports: Mapping[int, object] | None) -> list[Ranking]:
-    rankings = []
-    for query in sorted(queries, key=lambda q: q.query_id):
-        if supports is not None:
-            assert folds is not None
-            engine.support = supports[folds.fold_of(query.page_id)]
-        pool = None
-        if candidates is not None:
-            pool = candidates[query.query_id].paragraph_ids
-        rankings.append(engine.rank(query, k=k, candidates=pool))
-    return rankings
+                  k: int) -> list[Ranking]:
+    return [engine.rank(q, k=k, candidates=None if candidates is None
+                        else candidates[q.query_id].paragraph_ids)
+            for q in sorted(queries, key=lambda q: q.query_id)]
 
 
 def _validate_candidates(pools: Mapping[str, Iterable[str]], ix: Index,
@@ -215,10 +198,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     params = _method_params(args, args.method, args.expansion)
     scorer = (args.method if args.expansion == "none"
               else f"{args.method}+{args.expansion}")
-    res = _load_resources(args, texts, [(scorer, params)])
     folds = (assign_folds(corpus, args.ltr_folds, args.seed)
              if params.expansion == "rocchio" else None)
-    engine, supports = _build_engine(params, ix, texts, res, corpus, folds)
+    res = _load_resources(args, corpus, texts, folds, [(scorer, params)])
+    engine = MethodEngine(ix, texts, params=params, **res)
 
     candidates = None
     skipped = 0
@@ -230,7 +213,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         queries = [q for q in queries if q.query_id in candidates]
         skipped = before - len(queries)
 
-    rankings = _rank_queries(engine, queries, candidates, args.k, folds, supports)
+    rankings = _rank_queries(engine, queries, candidates, args.k)
     name = args.run_name or f"{args.method}+{args.expansion}"
     run = run_from_rankings(name, rankings)
     write_run(run, args.out)
@@ -307,7 +290,7 @@ def _score_features(args: argparse.Namespace, out_dir: Path) -> tuple[
     folds = assign_folds(corpus, args.ltr_folds, args.seed)
     scorers = _parse_scorers(args)
     texts = _texts(corpus)
-    res = _load_resources(args, texts, scorers)
+    res = _load_resources(args, corpus, texts, folds, scorers)
     cfg = _token_config(args)
     ix = _corpus_index(args, texts, cfg)
     queries = sorted(all_queries(corpus, cfg), key=lambda q: q.query_id)
@@ -345,9 +328,9 @@ def _score_features(args: argparse.Namespace, out_dir: Path) -> tuple[
     runs: list[RunFile] = []
     reports_by_name: dict[str, MetricsReport] = {}
     for name, params in scorers:
-        engine, supports = _build_engine(params, ix, texts, res, corpus, folds)
+        engine = MethodEngine(ix, texts, params=params, **res)
         runs.append(run_from_rankings(name, _rank_queries(
-            engine, queries, candidates, args.candidate_k, folds, supports)))
+            engine, queries, candidates, args.candidate_k)))
         reports_by_name[name] = _write_scored(runs[-1], qrels, out_dir)
     if external is not None:
         runs.append(external)

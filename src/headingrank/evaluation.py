@@ -244,8 +244,8 @@ def write_run(run: RunFile, path: str) -> None:
 def read_run(path: str) -> RunFile:
     """Parse and validate a TREC run file.
 
-    Enforces per query: contiguous ranks 1..n, non-increasing scores,
-    no duplicate paragraph ids.
+    Enforces finite scores and, per query: contiguous ranks 1..n,
+    non-increasing scores, no duplicate paragraph ids.
     """
     rows: dict[str, list[tuple[int, str, float, int]]] = {}
     name = ""
@@ -267,6 +267,8 @@ def read_run(path: str) -> RunFile:
                 raise RunFormatError(row_no, "rank must be int and score float") from None
             if rank < 1:
                 raise RunFormatError(row_no, f"rank must be >= 1, got {rank}")
+            if not math.isfinite(score):
+                raise RunFormatError(row_no, f"score must be finite, got {score_s!r}")
             name = run_name
             rows.setdefault(qid, []).append((rank, pid, score, row_no))
     rankings: dict[str, Ranking] = {}

@@ -14,12 +14,16 @@ sum (index.sparse_sum or semvec.embedding_sum); Rocchio instead
 carries a finished centroid. Mixing and Rocchio centroids use the
 vector interface that the sparse and dense vectors share, so they run
 one path in every space.
+
+rocchio_expand holds out the query's own page and, when the support
+index keeps a fold assignment, every page of the query's fold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus, FoldAssignment, HeadingQuery, iter_sections
@@ -42,13 +46,12 @@ class WeightedEntity(NamedTuple):
 
 @dataclass(frozen=True)
 class HeadingSupportIndex:
-    """heading key -> supporting (pageId, paragraphId) pairs, ascending.
-
-    Built from the training folds only; held_out records which fold was
-    excluded (-1 when nothing was).
+    """heading key -> supporting (pageId, paragraphId) pairs, ascending,
+    and the fold assignment that rocchio_expand holds a query's fold out
+    by (None: only the query's own page is held out).
     """
     entries: dict[str, tuple[tuple[str, str], ...]]
-    held_out: int = -1
+    folds: FoldAssignment | None = None
 
     def support_for(self, heading: str) -> tuple[tuple[str, str], ...]:
         return self.entries.get(heading_key(heading), ())
@@ -155,9 +158,9 @@ def build_heading_support(corpus: Corpus, folds: FoldAssignment | None = None,
                           held_out: int = -1) -> HeadingSupportIndex:
     """Map each normalized heading to the paragraphs filed under it.
 
-    Only pages outside the held-out fold contribute, so a query from
-    that fold never sees its own page's paragraphs as support. Headings
-    that normalize to nothing are dropped.
+    Pages in fold held_out are left out. The index keeps folds, so that
+    rocchio_expand holds each query's fold out of one index built without
+    held_out. Headings that normalize to nothing are dropped.
     """
     if folds is None and held_out >= 0:
         raise ValueError("held_out requires a fold assignment")
@@ -173,7 +176,7 @@ def build_heading_support(corpus: Corpus, folds: FoldAssignment | None = None,
                 (page.id, pid) for pid in section.paragraphs)
     return HeadingSupportIndex(
         entries={k: tuple(sorted(v)) for k, v in entries.items()},
-        held_out=held_out,
+        folds=folds,
     )
 
 
@@ -182,18 +185,21 @@ def rocchio_expand(query: HeadingQuery, support: HeadingSupportIndex,
                    max_passages: int = 5, lam: float = 0.5) -> ExpandedQuery:
     """Expand with the centroid of same-heading passages from other pages.
 
-    Takes up to max_passages supporting paragraphs in ascending
-    (pageId, paragraphId) order, skipping the query's own page as a
-    final guard on top of fold-based exclusion. The expansion vector is
-    the unweighted mean of the unit-normalized passage vectors in the
-    active scoring space. No usable support leaves the query unchanged.
+    Takes the first max_passages supporting (pageId, paragraphId) pairs,
+    ascending, from pages outside the query's page and, when the index
+    keeps folds, outside its page's fold. The expansion vector is the
+    unweighted mean of the unit-normalized passage vectors in the active
+    scoring space; no usable support leaves the query unchanged.
     """
     if max_passages < 1:
         raise ValueError("max_passages must be >= 1")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0, 1]")
-    pairs = [p for p in support.support_for(query.heading)
-             if p[0] != query.page_id][:max_passages]
+    # without folds, each page is a fold of its own
+    fold_of = support.folds.fold_of if support.folds is not None else lambda p: p
+    held_out = fold_of(query.page_id)
+    pairs = list(islice((p for p in support.support_for(query.heading)
+                         if fold_of(p[0]) != held_out), max_passages))
     if not pairs:
         return ExpandedQuery(original=query)
     units: list[Vector] = []

@@ -20,7 +20,7 @@ from headingrank.corpus import Corpus, parse_corpus
 from headingrank.index import (Index, SparseVector, bm25_idf, build_index,
                                matching_paragraphs, rank_items)
 from headingrank.semvec import DenseVector, LinkerError
-from headingrank.textproc import TokenPipelineConfig
+from headingrank.textproc import TokenPipelineConfig, heading_key
 
 PLAIN_CFG = TokenPipelineConfig(stopwords=frozenset(), stem=False)
 
@@ -272,6 +272,75 @@ def ref_dense_feedback_vector(pairs, store, doc_freq, n_docs):
         if idf != 0.0:
             acc += weight * idf * vec
     return DenseVector(acc)
+
+
+# --- word and entity vectors, the Rocchio centroid and the match pool ----------
+# text_vector, entity_vector, rocchio_expand's centroid and MethodEngine's
+# full-collection pool, written out from their formulas rather than through
+# the library's shared idf sum, vector interface or postings. Tests require
+# the engine to match them bit for bit.
+
+def ref_text_vector(bag, store, ix):
+    """Σ tf * (1 + ln tf) * idf * vector(t) over the covered occurrences,
+    divided by their count; a token without a vector is not covered."""
+    acc = np.zeros(store.dim, dtype=np.float64)
+    covered = 0
+    for t, tf in Counter(bag).items():
+        vec = store.get(t)
+        if vec is None:
+            continue
+        covered += tf
+        idf = _ref_idf(ix.doc_freq, ix.n_docs, t)
+        if idf != 0.0:
+            acc += tf * (1.0 + math.log(tf)) * idf * vec
+    return DenseVector(acc / covered if covered else acc)
+
+
+def ref_link(linker, text):
+    """The linker's mentions, or none where it fails on the text."""
+    try:
+        return linker.link(text)
+    except LinkerError:
+        return []
+
+
+def ref_entity_vector(mentions, store, stats):
+    """Σ (1 + ln count) * link idf * vector(e) over the distinct entities
+    with a vector, divided by their number."""
+    acc = np.zeros(store.dim, dtype=np.float64)
+    covered = 0
+    for m in mentions:
+        vec = store.get(m.entity_id)
+        if vec is None:
+            continue
+        covered += 1
+        idf = _ref_idf(stats.link_doc_freq, stats.n_docs, m.entity_id)
+        if idf != 0.0:
+            acc += (1.0 + math.log(m.count)) * idf * vec
+    return DenseVector(acc / covered if covered else acc)
+
+
+def ref_rocchio_centroid(query, support, doc_vector, max_passages):
+    """Mean unit vector of the first max_passages same-heading passages,
+    ascending, from pages outside the query's page and, when the index
+    keeps folds, outside its page's fold; None without a usable one."""
+    folds = support.folds
+
+    def held_out(page_id):
+        return page_id == query.page_id or (
+            folds is not None and folds.mapping[page_id] == folds.mapping[query.page_id])
+
+    pairs = [p for p in support.entries.get(heading_key(query.heading), ())
+             if not held_out(p[0])][:max_passages]
+    units = [u for u in (ref_normalized(doc_vector(pid)) for _, pid in pairs)
+             if u is not None]
+    return ref_mean_vector(units) if units else None
+
+
+def ref_match_pool(ix, terms):
+    """Every paragraph whose text holds at least one of the terms."""
+    wanted = set(terms)
+    return {pid for pid, tf in ix.doc_tf.items() if not wanted.isdisjoint(tf)}
 
 
 # --- fold worker processes ------------------------------------------------------

@@ -258,6 +258,24 @@ def test_run_with_rocchio_over_saved_index(corpus_path, tmp_path):
     assert read_run(str(out)).rankings
 
 
+def test_each_command_builds_one_support_index(tmp_path, monkeypatch):
+    # one index over every page serves all five folds and every Rocchio scorer
+    calls = []
+    build = cli.build_heading_support
+    monkeypatch.setattr(cli, "build_heading_support",
+                        lambda *args: calls.append(args) or build(*args))
+    paths = write_fixture(SynthSpec(pages=5, seed=0), str(tmp_path / "fx"))
+    resources = ("--corpus", paths["corpus"], "--embeddings", paths["embeddings"])
+    assert run_cli("pipeline", *resources, "--out-dir", tmp_path / "exp",
+                   "--scorers", "tfidf-cs+rocchio,glove-cs+rocchio", "--restarts", "2",
+                   "--iterations", "8", "--candidate-k", "20") == 0
+    assert len(calls) == 1 and len(calls[0]) == 2  # no fold held out
+    calls.clear()
+    assert run_cli("run", *resources, "--method", "glove-cs", "--expansion", "rocchio",
+                   "--out", tmp_path / "r.txt") == 0
+    assert len(calls) == 1 and len(calls[0]) == 2
+
+
 def test_run_rejects_index_of_another_corpus(tmp_path, capsys):
     # corpus b holds a subset of corpus a's paragraph ids
     ix = tmp_path / "ix-a.json"
@@ -311,6 +329,26 @@ def test_eval_malformed_run_exits_2(run_and_qrels, tmp_path, capsys):
     bad = tmp_path / "bad-run.txt"
     bad.write_text("just one field\n", encoding="utf-8")
     assert run_cli("eval", "--run", bad, "--qrels", qrels) == 2
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_eval_and_compare_reject_non_finite_scores(run_and_qrels, tmp_path,
+                                                   capsys, score):
+    run, qrels = run_and_qrels
+    lines = run.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[1].split()
+    fields[4] = score
+    lines[1] = " ".join(fields) + "\n"
+    bad = tmp_path / "bad-run.txt"
+    bad.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    message = f"error: row 2: score must be finite, got {score!r}"
+    assert run_cli("eval", "--run", bad, "--qrels", qrels, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert run_cli("compare", "--run-a", run, "--run-b", bad, "--qrels", qrels,
+                   "--out", out) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 def test_compare_reports_significance_fields(corpus_path, run_and_qrels,
@@ -490,6 +528,27 @@ def test_pipeline_rejects_external_rows_outside_corpus(corpus_path, tmp_path,
     assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
                    "--external-scores", ext, *PIPELINE_ARGS) == 2
     assert message in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_pipeline_rejects_non_finite_external_scores(corpus_path, tmp_path,
+                                                     capsys, score):
+    # rank 2 of every query, where a NaN once made each fused rank-1 score NaN
+    ext = tmp_path / "external.txt"
+    run_cli("run", "--corpus", corpus_path, "--run-name", "prior", "--out", ext)
+    lines = ext.read_text(encoding="utf-8").splitlines()
+    rows = [line.split() for line in lines]
+    for row in rows:
+        if row[3] == "2":
+            row[4] = score
+    ext.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
+    first = next(no for no, row in enumerate(rows, start=1) if row[3] == "2")
+    out_dir = tmp_path / "exp"
+    assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
+                   "--external-scores", ext, *PIPELINE_ARGS) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: row {first}: score must be finite, got {score!r}")
     assert list(out_dir.iterdir()) == []
 
 

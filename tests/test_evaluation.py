@@ -296,6 +296,10 @@ def test_run_roundtrip(tmp_path):
     ("q1 QX a 1 2.0 r", "must be Q0"),
     ("q1 Q0 a one 2.0 r", "rank must be int"),
     ("q1 Q0 a 0 2.0 r", "rank must be >= 1"),
+    ("q1 Q0 a 1 nan r", "score must be finite, got 'nan'"),
+    ("q1 Q0 a 1 inf r", "score must be finite, got 'inf'"),
+    ("q1 Q0 a 1 -inf r", "score must be finite, got '-inf'"),
+    ("q1 Q0 a 1 NaN r", "score must be finite, got 'NaN'"),
 ])
 def test_read_run_row_errors(tmp_path, row, fragment):
     path = tmp_path / "run.txt"
@@ -316,6 +320,16 @@ def test_read_run_rejects_increasing_scores(tmp_path):
     path.write_text("q1 Q0 a 1 1.0 r\nq1 Q0 b 2 2.0 r\n")
     with pytest.raises(RunFormatError, match="scores increase"):
         read_run(str(path))
+
+
+def test_read_run_rejects_nan_between_increasing_scores(tmp_path):
+    # every comparison with NaN is false, so the order check alone would
+    # pass scores 1, nan, 5
+    path = tmp_path / "run.txt"
+    path.write_text("q1 Q0 a 1 1.0 r\nq1 Q0 b 2 nan r\nq1 Q0 c 3 5.0 r\n")
+    with pytest.raises(RunFormatError, match="score must be finite") as exc:
+        read_run(str(path))
+    assert exc.value.row_no == 2
 
 
 def test_read_run_rejects_duplicate_paragraph(tmp_path):

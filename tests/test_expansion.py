@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from headingrank.corpus import HeadingQuery, assign_folds
+from headingrank.corpus import HeadingQuery, all_queries, assign_folds
 from headingrank.expansion import (
     ExpandedQuery,
+    HeadingSupportIndex,
     WeightedEntity,
     WeightedTerm,
     _feedback_docs,
@@ -37,8 +38,10 @@ from headingrank.semvec import (
     load_embeddings,
     normalized,
 )
+from headingrank.textproc import heading_key
 
-from conftest import (corpus_from_pages, page, plain_index, ref_dense_feedback_vector,
+from conftest import (PLAIN_CFG, corpus_from_pages, page, plain_index,
+                      ref_dense_feedback_vector,
                       ref_feedback_docs, ref_mean_vector, ref_mix_vectors,
                       ref_rm1_entities, ref_rm1_terms, ref_term_feedback_vector,
                       ref_tfidf_vector, section)
@@ -304,8 +307,74 @@ def test_support_respects_held_out_fold():
     folds = assign_folds(corpus, k=3, seed=0)
     fold_of_b = folds.mapping["b"]
     support = build_heading_support(corpus, folds, held_out=fold_of_b)
-    assert support.held_out == fold_of_b
+    assert support.folds == folds
     assert all(pair[0] != "b" for pair in support.entries.get("demograph", ()))
+
+
+HEADINGS = ["Intro", "History", "Histories", "Flow", "Climate"]
+
+
+@st.composite
+def outline_corpora(draw):
+    """Pages whose sections share headings across and within pages, nest,
+    and sometimes reference another page's paragraph."""
+    n_pages = draw(st.integers(2, 7))
+    words = ["alpha", "beta", "gamma", "delta", "omega"]
+    defined: list[str] = []
+
+    def sections(depth, page_id, used):
+        out = []
+        for _ in range(draw(st.integers(0 if depth else 1, 3 - depth))):
+            paras = []
+            for _ in range(draw(st.integers(0, 2))):
+                if defined and draw(st.integers(0, 4)) == 0:
+                    pid = draw(st.sampled_from(defined))
+                    if pid not in used:
+                        used.add(pid)
+                        paras.append((pid, None))
+                    continue
+                pid = f"{page_id}n{len(defined)}"
+                defined.append(pid)
+                used.add(pid)
+                paras.append((pid, " ".join(draw(st.lists(st.sampled_from(words),
+                                                          min_size=1, max_size=4)))))
+            children = sections(depth + 1, page_id, used) if depth < 2 else []
+            out.append(section(draw(st.sampled_from(HEADINGS)), paras, children))
+        return out
+
+    return corpus_from_pages([page(f"p{i}", f"T{i}", sections(0, f"p{i}", set()))
+                              for i in range(n_pages)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(outline_corpora(), st.data())
+def test_one_fold_aware_index_matches_per_fold_indexes(corpus, data):
+    # the per-fold indexes and own-page filter that Rocchio used before the
+    # index kept its folds, against one index that holds the fold out at lookup
+    k = data.draw(st.integers(2, min(5, len(corpus.pages))))
+    folds = assign_folds(corpus, k, data.draw(st.integers(0, 99)))
+    one = build_heading_support(corpus, folds)
+    per_fold = {f: build_heading_support(corpus, folds, f).entries for f in range(k)}
+    max_passages = data.draw(st.integers(1, 6))
+    for q in all_queries(corpus, PLAIN_CFG):
+        entries = per_fold[folds.fold_of(q.page_id)]
+        want_pairs = [p for p in entries.get(heading_key(q.heading), ())
+                      if p[0] != q.page_id][:max_passages]
+        seen: dict[str, list[str]] = {"one": [], "per-fold": []}
+
+        def vectorizer(name):
+            def vector(pid):
+                seen[name].append(pid)
+                counts = Counter(corpus.paragraphs[pid].text.split())
+                return SparseVector({w: float(c) for w, c in counts.items()})
+            return vector
+
+        got = rocchio_expand(q, one, vectorizer("one"), max_passages=max_passages)
+        want = rocchio_expand(q, HeadingSupportIndex(entries), vectorizer("per-fold"),
+                              max_passages=max_passages)
+        assert seen["one"] == seen["per-fold"] == [pid for _, pid in want_pairs]
+        assert bits(got.expansion_vector) == bits(want.expansion_vector)
+        assert got.match_terms == want.match_terms
 
 
 def test_support_requires_folds_for_held_out():

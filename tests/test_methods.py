@@ -6,10 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from headingrank import expansion
-from headingrank.corpus import HeadingQuery
-from headingrank.expansion import build_heading_support, mix_vectors, mixed_term_weights
-from headingrank.index import bm25_score, rank_items
+from headingrank.corpus import HeadingQuery, assign_folds
+from headingrank.expansion import build_heading_support
+from headingrank.index import SparseVector, bm25_score, rank_items
 from headingrank.methods import (
     EXPANSIONS,
     METHODS,
@@ -27,7 +26,10 @@ from headingrank.semvec import (
 )
 
 from conftest import (corpus_from_pages, page, plain_index, ref_bm25_term_score,
-                      ref_cosine, ref_feedback_docs, ref_normalized, section)
+                      ref_cosine, ref_dense_feedback_vector, ref_entity_vector,
+                      ref_link, ref_match_pool, ref_mix_vectors, ref_rm1_entities,
+                      ref_rm1_terms, ref_rocchio_centroid, ref_term_feedback_vector,
+                      ref_text_vector, ref_tfidf_vector, section)
 
 
 def hq(terms, page_id="pg", heading="H", qid=None):
@@ -276,8 +278,8 @@ def test_doc_vectors_cached(ix, resources):
 
 GRID = [("bm25", "none"), ("bm25", "rm1"),
         ("tfidf-cs", "none"), ("tfidf-cs", "rm1"), ("tfidf-cs", "rocchio"),
-        ("glove-cs", "none"), ("glove-cs", "rm1"),
-        ("entity-cs", "none"), ("entity-cs", "ent-rm1")]
+        ("glove-cs", "none"), ("glove-cs", "rm1"), ("glove-cs", "rocchio"),
+        ("entity-cs", "none"), ("entity-cs", "ent-rm1"), ("entity-cs", "rocchio")]
 
 
 def _random_collection(rng):
@@ -307,32 +309,77 @@ def _random_collection(rng):
     return corpus, texts, plain_index(texts), resources, words
 
 
-def _reference_ranking(eng, query, k, candidates, monkeypatch):
-    """eng.rank, but every norm, idf, length norm and smoothing mass fresh per pair."""
-    with monkeypatch.context() as m:
-        m.setattr(expansion, "_feedback_docs", ref_feedback_docs)
-        m.setattr(expansion, "normalized", ref_normalized)
-        eq = eng.expand(query)
-        pool = eng._match_pool(eq) if candidates is None else candidates
-        if eng.params.method == "bm25":
-            weights = mixed_term_weights(eq)
-            bm = eng.params.bm25_params()
-            scored = {pid: sum(w * ref_bm25_term_score(eng.ix, t, pid, bm)
-                               for t, w in weights.items()) for pid in pool}
+def _reference_ranking(eng, query, k, candidates):
+    """eng.rank recomputed from the conftest references alone: expansion,
+    every vector, the mix and the pool, with every norm, idf, length norm
+    and smoothing mass fresh per pair."""
+    p, ix, texts = eng.params, eng.ix, eng.texts
+    store, linker, stats = eng.embeddings, eng.linker, eng.entity_stats
+
+    def vector(bag, text):
+        if p.method == "tfidf-cs":
+            return ref_tfidf_vector(ix, bag)
+        if p.method == "glove-cs":
+            return ref_text_vector(bag, store, ix)
+        return ref_entity_vector(ref_link(linker, text), store, stats)
+
+    def doc_vector(pid):
+        return vector(ix.doc_tf[pid], texts[pid])
+
+    feedback, centroid, match_terms = [], None, ()
+    if p.expansion == "rm1":
+        feedback = ref_rm1_terms(ix, query, p.fb_docs, p.fb_terms, p.mu)
+        match_terms = tuple(t for t, _ in feedback)
+    elif p.expansion == "ent-rm1":
+        feedback = ref_rm1_entities(ix, texts, query, linker, p.fb_docs,
+                                    p.fb_entities, p.mu)
+    elif p.expansion == "rocchio" and eng.support is not None:
+        centroid = ref_rocchio_centroid(query, eng.support, doc_vector,
+                                        p.rocchio_passages)
+        if isinstance(centroid, SparseVector):
+            match_terms = tuple(sorted(centroid.entries))
+    lam = p.lam if feedback or centroid is not None else 1.0
+
+    if p.method == "bm25":
+        # lam spread over the query's term occurrences, 1 - lam over the feedback
+        weights = {}
+        for t in query.terms:
+            weights[t] = weights.get(t, 0.0) + lam / len(query.terms)
+        for t, w in feedback if lam < 1.0 else ():
+            weights[t] = weights.get(t, 0.0) + (1.0 - lam) * w
+        pool_terms = [t for t, w in weights.items() if w > 0.0]
+    else:
+        pool_terms = list(query.terms) + list(match_terms if lam < 1.0 else ())
+    pool = ref_match_pool(ix, pool_terms) if candidates is None else candidates
+
+    if p.method == "bm25":
+        bm = p.bm25_params()
+        scored = {}
+        for pid in pool:
+            score = 0.0
+            for t, w in weights.items():
+                score += w * ref_bm25_term_score(ix, t, pid, bm)
+            scored[pid] = score
+    else:
+        if p.method == "tfidf-cs":
+            fb_vector = ref_term_feedback_vector(feedback, ix) if feedback else centroid
+        elif feedback:
+            doc_freq, n_docs = ((ix.doc_freq, ix.n_docs) if p.method == "glove-cs"
+                                else (stats.link_doc_freq, stats.n_docs))
+            fb_vector = ref_dense_feedback_vector(feedback, store, doc_freq, n_docs)
         else:
-            query_vector = eng._vector(query.terms, query.raw_text, "query",
-                                       query.query_id)
-            mixed = mix_vectors(query_vector, eng._feedback_vector(eq),
-                                eq.interpolation)
-            scored = {pid: ref_cosine(mixed, eng.doc_vector(pid)) for pid in pool}
+            fb_vector = centroid
+        mixed = ref_mix_vectors(vector(query.terms, query.raw_text), fb_vector, lam)
+        scored = {pid: ref_cosine(mixed, doc_vector(pid)) for pid in pool}
     return rank_items(query.query_id, scored, k if candidates is None else None)
 
 
-def test_engine_scores_match_per_pair_reference(monkeypatch):
+def test_engine_scores_match_per_pair_reference():
     rng = random.Random(2024)
     for _ in range(50):
         corpus, texts, ix, resources, words = _random_collection(rng)
-        support = build_heading_support(corpus)
+        folds = assign_folds(corpus, rng.randint(2, len(corpus.pages)), rng.randrange(10))
+        support = build_heading_support(corpus, folds)
         pids = sorted(ix.doc_lengths)
         queries = [hq(rng.choices(words + ["zz"], k=rng.randint(1, 3)),
                       page_id=rng.choice([p.id for p in corpus.pages]),
@@ -350,12 +397,10 @@ def test_engine_scores_match_per_pair_reference(monkeypatch):
                                entity_stats=stats, support=support)
             for q in queries:
                 full = eng.rank(q, k=len(pids))
-                assert full.items == \
-                    _reference_ranking(eng, q, len(pids), None, monkeypatch).items
+                assert full.items == _reference_ranking(eng, q, len(pids), None).items
                 cands = rng.sample(pids, rng.randint(1, len(pids)))
                 got = eng.rank(q, candidates=cands)
-                assert got.items == \
-                    _reference_ranking(eng, q, None, cands, monkeypatch).items
+                assert got.items == _reference_ranking(eng, q, None, cands).items
 
 
 def test_bm25_candidates_over_tokenless_collection_score_zero(resources):
