@@ -25,7 +25,8 @@ from .evaluation import (MetricsReport, RunFile, RunFormatError, evaluate_run,
                          format_metrics, format_p_value, paired_t_test, read_run,
                          run_from_rankings, write_metrics, write_run)
 from .expansion import build_heading_support
-from .index import Index, Ranking, build_index, load_index, save_index
+from .index import (Index, Ranking, build_index, index_fingerprint, load_index,
+                    save_index)
 from .ltr import CaConfig, FeatureTable, assemble_feature_table, cross_validate, save_model
 from .methods import (InvalidCombinationError, MethodEngine, MethodParams,
                       VALID_COMBINATIONS)
@@ -145,7 +146,9 @@ def _texts(corpus: Corpus) -> dict[str, str]:
 
 def _corpus_index(args: argparse.Namespace, texts: Mapping[str, str],
                   cfg: TokenPipelineConfig) -> Index:
-    """The saved --index, if it covers exactly the corpus's paragraphs, else a fresh one."""
+    """A fresh index, or the saved --index once its paragraph ids and
+    fingerprint show it was built from this corpus's texts with the
+    command's token config."""
     if not args.index:
         return build_index(texts, cfg)
     ix = load_index(args.index)
@@ -156,6 +159,12 @@ def _corpus_index(args: argparse.Namespace, texts: Mapping[str, str],
             f"index {args.index} was not built from this corpus: "
             f"{only_index} paragraph ids only in the index, "
             f"{only_corpus} only in the corpus")
+    expected = index_fingerprint(texts, cfg)
+    for key, what in (("texts", "paragraph texts than this corpus's"),
+                      ("tokens", "token settings (stopwords, stem, drop_digits) "
+                                 "than this command's")):
+        if ix.fingerprint[key] != expected[key]:
+            raise CliInputError(f"index {args.index} was built from other {what}")
     return ix
 
 

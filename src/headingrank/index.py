@@ -19,6 +19,11 @@ A SparseVector computes its norm once, on first use, and keeps it, and
 an Index builds its per-paragraph term counts (doc_tf) the same way, so
 building and saving an index never pays for them.
 
+An index records a fingerprint of what its statistics depend on: a
+sha256 of the paragraph texts and one of the token config. A saved
+index keeps it, so a command can tell an index of other text from its
+own corpus's.
+
 SparseVector and semvec.DenseVector share one interface (norm, dot,
 plus, scaled, divided, zero), and same_space is the one check that two
 vectors can be combined. Float sums add left to right, never through
@@ -28,6 +33,7 @@ has the same bits under every supported Python.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -39,7 +45,7 @@ from .textproc import TokenPipelineConfig, DEFAULT_CONFIG, tokenize
 from .utils import ordered_sum
 
 INDEX_FORMAT = "headingrank-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -134,9 +140,10 @@ class Index:
     """Inverted index over a paragraph collection. Read-only after build."""
 
     def __init__(self, postings: dict[str, list[tuple[str, int]]],
-                 doc_lengths: dict[str, int]):
+                 doc_lengths: dict[str, int], fingerprint: dict[str, str]):
         self.postings = postings
         self.doc_lengths = doc_lengths
+        self.fingerprint = fingerprint
         self.n_docs = len(doc_lengths)
         self.doc_freq = {t: len(pl) for t, pl in postings.items()}
         self.collection_tf = {t: sum(tf for _, tf in pl) for t, pl in postings.items()}
@@ -160,6 +167,16 @@ class Index:
             raise KeyError(f"unknown paragraph id {paragraph_id!r}")
 
 
+def index_fingerprint(paragraphs: Mapping[str, str],
+                      cfg: TokenPipelineConfig) -> dict[str, str]:
+    """sha256 of the paragraph texts by id ("texts") and of the token
+    config: stopword set, stem and drop_digits ("tokens")."""
+    texts = json.dumps(sorted(paragraphs.items()))
+    tokens = json.dumps([sorted(cfg.stopwords), cfg.stem, cfg.drop_digits])
+    return {"texts": hashlib.sha256(texts.encode("utf-8")).hexdigest(),
+            "tokens": hashlib.sha256(tokens.encode("utf-8")).hexdigest()}
+
+
 def build_index(paragraphs: Mapping[str, str],
                 cfg: TokenPipelineConfig = DEFAULT_CONFIG) -> Index:
     """Index a paragraph id -> text map. Deterministic for equal content."""
@@ -175,7 +192,8 @@ def build_index(paragraphs: Mapping[str, str],
             counts[t] = counts.get(t, 0) + 1
         for t in sorted(counts):
             postings.setdefault(t, []).append((pid, counts[t]))
-    return Index(postings=postings, doc_lengths=doc_lengths)
+    return Index(postings=postings, doc_lengths=doc_lengths,
+                 fingerprint=index_fingerprint(paragraphs, cfg))
 
 
 def tfidf_idf(doc_freq: Mapping[str, int], n_docs: int, key: str) -> float:
@@ -315,6 +333,7 @@ def save_index(ix: Index, path: str) -> None:
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "doc_lengths": ix.doc_lengths,
+        "fingerprint": ix.fingerprint,
         "postings": ix.postings,  # json writes each (pid, tf) as [pid, tf]
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -327,7 +346,16 @@ def load_index(path: str) -> Index:
     if payload.get("format") != INDEX_FORMAT:
         raise ValueError(f"not an index artifact: {path}")
     if payload.get("version") != INDEX_VERSION:
-        raise ValueError(f"unsupported index version {payload.get('version')}")
+        raise ValueError(f"unsupported index version {payload.get('version')} "
+                         f"in {path}; rebuild it with the index command")
+    missing = [k for k in ("doc_lengths", "fingerprint", "postings") if k not in payload]
+    if missing:
+        raise ValueError(f"index artifact {path} lacks {', '.join(missing)}")
+    fingerprint = payload["fingerprint"]
+    if not isinstance(fingerprint, dict) or set(fingerprint) != {"texts", "tokens"}:
+        raise ValueError(f"index artifact {path} has a malformed fingerprint")
     postings = {t: [(pid, int(tf)) for pid, tf in pl]
                 for t, pl in payload["postings"].items()}
-    return Index(postings=postings, doc_lengths={p: int(n) for p, n in payload["doc_lengths"].items()})
+    return Index(postings=postings,
+                 doc_lengths={p: int(n) for p, n in payload["doc_lengths"].items()},
+                 fingerprint=fingerprint)

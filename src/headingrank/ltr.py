@@ -462,13 +462,3 @@ def save_model(model: LinearModel, path: str) -> None:
         fh.write("features\t" + "\t".join(model.feature_names) + "\n")
         for w in model.weights:
             fh.write(f"{w!r}\n")
-
-
-def load_model(path: str) -> LinearModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("features\t"):
-        raise ValueError("model file must start with a 'features' header line")
-    names = tuple(lines[0].split("\t")[1:])
-    weights = tuple(float(ln) for ln in lines[1:])
-    return LinearModel(feature_names=names, weights=weights)

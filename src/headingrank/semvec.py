@@ -22,6 +22,11 @@ taken as no entities.
 cosine and normalized read each vector's kept norm, which the vector
 computes once, on first use: a cached paragraph vector's norm once per
 engine, a query's mixed vector's once per query.
+
+A dense dot product adds its elementwise products left to right from
+0.0, like SparseVector.dot and ltr.linear_scores, and a norm is the
+square root of a self-dot. No score goes through BLAS, whose kernel
+(picked per CPU at run time) would choose the order of the additions.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import numpy as np
 
 from .index import Index, SparseVector, same_space, tfidf_idf
 from .textproc import TOKEN_RE
+from .utils import ordered_sum
 
 log = logging.getLogger(__name__)
 
@@ -75,14 +81,15 @@ class DenseVector:
     """Embedding-space vector with index.SparseVector's interface.
 
     Treat values as read-only: the norm and shape are computed on first
-    use and kept.
+    use and kept. dot adds Σ aᵢ·bᵢ left to right from 0.0, and the norm
+    is the square root of the vector's dot with itself.
     """
 
     values: np.ndarray
 
     @cached_property
     def _norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return math.sqrt(self.dot(self))
 
     def norm(self) -> float:
         return self._norm
@@ -93,7 +100,7 @@ class DenseVector:
 
     def dot(self, other: "DenseVector") -> float:
         same_space(self, other)
-        return float(np.dot(self.values, other.values))
+        return ordered_sum((self.values * other.values).tolist())
 
     def plus(self, other: "DenseVector") -> "DenseVector":
         same_space(self, other)

@@ -117,6 +117,15 @@ def ref_feedback_docs(ix, terms, fb_docs, mu):
     return list(rank_items("", scored, k=fb_docs).items)
 
 
+def ref_dense_dot(xs, ys):
+    """Σ x·y added left to right from 0.0: sum() compensates from Python
+    3.12, and a BLAS dot picks its order per CPU kernel."""
+    total = 0.0
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        total += x * y
+    return total
+
+
 def ref_norm(v):
     """A vector's norm computed afresh, never read from the vector."""
     if isinstance(v, SparseVector):
@@ -124,7 +133,7 @@ def ref_norm(v):
         for w in v.entries.values():
             total += w * w
         return math.sqrt(total)
-    return float(np.linalg.norm(v.values))
+    return math.sqrt(ref_dense_dot(v.values, v.values))
 
 
 def ref_cosine(a, b):
@@ -133,7 +142,7 @@ def ref_cosine(a, b):
         return 0.0
     if isinstance(a, SparseVector):
         return a.dot(b) / (na * nb)
-    return float(np.dot(a.values, b.values)) / (na * nb)
+    return ref_dense_dot(a.values, b.values) / (na * nb)
 
 
 def ref_normalized(v):

@@ -1,6 +1,7 @@
 """Exercises every subcommand through main(): files, exit codes, determinism."""
 
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -299,6 +300,75 @@ def test_pipeline_rejects_index_of_another_corpus(tmp_path, capsys):
     assert code == 2
     assert "0 paragraph ids only in the index, 12 only in the corpus" \
         in capsys.readouterr().err
+
+
+def _prepend_to_page(path, page_no, prefix):
+    """Rewrite a corpus file with prefix before each paragraph of one page."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[page_no])
+    for sec in record["sections"]:
+        for para in sec["paragraphs"]:
+            para["text"] = prefix + para["text"]
+    lines[page_no] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _index_of_edited_text(tmp_path, corpus):
+    ix = tmp_path / "ix.json"
+    run_cli("index", "--corpus", corpus, "--out", ix)
+    _prepend_to_page(corpus, 1, "zebra quokka ")
+    return ix, "was built from other paragraph texts than this corpus's"
+
+
+def _index_with_other_stopwords(tmp_path, corpus):
+    ix, stop = tmp_path / "ix.json", tmp_path / "stop.txt"
+    stop.write_text("survey\nzone\nalpha\n", encoding="utf-8")
+    run_cli("index", "--corpus", corpus, "--out", ix, "--stopwords", stop)
+    return ix, ("was built from other token settings (stopwords, stem, "
+                "drop_digits) than this command's")
+
+
+def _version_1_index(tmp_path, corpus):
+    ix = tmp_path / "ix.json"
+    run_cli("index", "--corpus", corpus, "--out", ix)
+    payload = json.loads(ix.read_text(encoding="utf-8"))
+    payload["version"] = 1
+    del payload["fingerprint"]
+    ix.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    return ix, "unsupported index version 1"
+
+
+@pytest.mark.parametrize("command", ["run", "pipeline"])
+@pytest.mark.parametrize("make_index", [_index_of_edited_text, _index_with_other_stopwords,
+                                        _version_1_index])
+def test_index_of_other_text_exits_2_before_any_write(tmp_path, capsys, command,
+                                                      make_index):
+    corpus = make_corpus_file(tmp_path)
+    ix, message = make_index(tmp_path, corpus)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "run":
+        argv = ["run", "--corpus", corpus, "--index", ix, "--out", out / "run.txt"]
+    else:
+        argv = ["pipeline", "--corpus", corpus, "--index", ix, "--out-dir", out,
+                *PIPELINE_ARGS]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_index_of_same_text_and_settings_is_accepted(tmp_path):
+    corpus = make_corpus_file(tmp_path)
+    stop = tmp_path / "stop.txt"
+    stop.write_text("survey\nzone\nalpha\n", encoding="utf-8")
+    ix = tmp_path / "ix.json"
+    assert run_cli("index", "--corpus", corpus, "--out", ix, "--stopwords", stop) == 0
+    saved, fresh = tmp_path / "saved.txt", tmp_path / "fresh.txt"
+    assert run_cli("run", "--corpus", corpus, "--index", ix, "--stopwords", stop,
+                   "--out", saved) == 0
+    assert run_cli("run", "--corpus", corpus, "--stopwords", stop, "--out", fresh) == 0
+    assert saved.read_bytes() == fresh.read_bytes()
 
 
 # --- eval / compare --------------------------------------------------------

@@ -23,6 +23,7 @@ from headingrank.index import (
     bm25_score,
     bm25_scores,
     build_index,
+    index_fingerprint,
     lm_dirichlet_scores,
     load_index,
     matching_paragraphs,
@@ -284,6 +285,7 @@ def _listed_payload(ix):
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "doc_lengths": ix.doc_lengths,
+        "fingerprint": ix.fingerprint,
         "postings": {t: [[pid, tf] for pid, tf in pl] for t, pl in ix.postings.items()},
     }
 
@@ -318,6 +320,60 @@ def test_doc_tf_is_built_on_first_read_only(tmp_path):
         assert [list(d) for d in ix.doc_tf.values()] == [list(d) for d in expected.values()]
         assert ix.doc_tf is ix.doc_tf
         assert load_index(str(tmp_path / "ix.json")).doc_tf == expected
+
+
+def test_fingerprint_tells_text_and_token_settings_apart(tmp_path):
+    base = index_fingerprint(THREE_DOCS, PLAIN_CFG)
+    assert set(base) == {"texts", "tokens"}
+    reordered = dict(reversed(list(THREE_DOCS.items())))
+    assert index_fingerprint(reordered, PLAIN_CFG) == base
+    for texts in ({**THREE_DOCS, "d2": "zebra " + THREE_DOCS["d2"]},
+                  {"d1": THREE_DOCS["d1"], "d2x": THREE_DOCS["d2"], "d3": THREE_DOCS["d3"]},
+                  {"d1": "a b", "d2": "a c d", "d3": THREE_DOCS["d3"]}):
+        other = index_fingerprint(texts, PLAIN_CFG)
+        assert other["texts"] != base["texts"] and other["tokens"] == base["tokens"]
+    for cfg in (dataclasses.replace(PLAIN_CFG, stopwords=frozenset({"a"})),
+                dataclasses.replace(PLAIN_CFG, stem=True),
+                dataclasses.replace(PLAIN_CFG, drop_digits=True)):
+        other = index_fingerprint(THREE_DOCS, cfg)
+        assert other["texts"] == base["texts"] and other["tokens"] != base["tokens"]
+    ix = build_index(THREE_DOCS, PLAIN_CFG)
+    assert ix.fingerprint == base
+    save_index(ix, str(tmp_path / "ix.json"))
+    assert load_index(str(tmp_path / "ix.json")).fingerprint == base
+
+
+def test_load_index_rejects_other_version(tmp_path, three_doc_index):
+    path = tmp_path / "ix.json"
+    save_index(three_doc_index, str(path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["version"] = 1
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported index version 1"):
+        load_index(str(path))
+
+
+@pytest.mark.parametrize("key", ["doc_lengths", "fingerprint", "postings"])
+def test_load_index_rejects_artifact_without_a_field(tmp_path, three_doc_index, key):
+    path = tmp_path / "ix.json"
+    save_index(three_doc_index, str(path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload[key]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"lacks {key}"):
+        load_index(str(path))
+
+
+@pytest.mark.parametrize("fingerprint", ["x", [], {"texts": "a"},
+                                         {"texts": "a", "tokens": "b", "c": "d"}])
+def test_load_index_rejects_malformed_fingerprint(tmp_path, three_doc_index, fingerprint):
+    path = tmp_path / "ix.json"
+    save_index(three_doc_index, str(path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["fingerprint"] = fingerprint
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed fingerprint"):
+        load_index(str(path))
 
 
 def test_load_index_rejects_foreign_file(tmp_path):

@@ -1,12 +1,19 @@
 """Embeddings, dense text/entity vectors, gazetteer linking, cosine."""
 
+import ast
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import headingrank
 from headingrank.index import SparseVector
 from headingrank.semvec import (
     CachingLinker,
@@ -382,3 +389,120 @@ def test_global_embedding_scaling_preserves_order():
                   for pid in ("d1", "d2", "d3")}
         orders.append(sorted(scores, key=lambda p: (-scores[p], p)))
     assert orders[0] == orders[1]
+
+
+# --- one dot product: no score depends on the BLAS kernel ---------------------
+
+def test_dense_dot_adds_left_to_right():
+    # (1e16 + 1) rounds back to 1e16, so only the left-to-right order gives 0
+    a = DenseVector(values=np.array([1e16, 1.0, -1e16, 0.5]))
+    ones = DenseVector(values=np.ones(4))
+    assert a.dot(ones) == 0.5
+    assert DenseVector(values=np.array([3.0, 4.0])).norm() == 5.0
+
+
+# Scores every full-collection pool of a 3-page fixture with the dense
+# methods, with and without feedback, and prints a digest of the bits.
+_DENSE_POOL_DIGEST = """
+import hashlib
+from headingrank.corpus import all_queries
+from headingrank.index import build_index
+from headingrank.methods import MethodEngine, MethodParams
+from headingrank.semvec import (CachingLinker, GazetteerLinker, build_entity_stats,
+                                load_embeddings)
+from headingrank.synth import SynthSpec, generate
+
+art = generate(SynthSpec(pages=3, seed=1))
+texts = {pid: p.text for pid, p in art.corpus.paragraphs.items()}
+ix = build_index(texts)
+store = load_embeddings(art.embedding_lines)
+linker = CachingLinker(GazetteerLinker(dict(l.split("\\t") for l in art.gazetteer_lines)))
+stats = build_entity_stats(texts, linker)
+digest = hashlib.sha256()
+for method, expansion in (("glove-cs", "none"), ("glove-cs", "rm1"),
+                          ("entity-cs", "none"), ("entity-cs", "ent-rm1")):
+    engine = MethodEngine(ix, texts, MethodParams(method=method, expansion=expansion),
+                          embeddings=store, linker=linker, entity_stats=stats)
+    for q in sorted(all_queries(art.corpus), key=lambda q: q.query_id):
+        for pid, score in engine.rank(q, k=None).items:
+            digest.update(f"{method} {expansion} {q.query_id} {pid} "
+                          f"{score.hex()}\\n".encode())
+print(digest.hexdigest())
+"""
+
+# OpenBLAS kernels a DYNAMIC_ARCH build can be forced to, with the x86 CPU
+# flags each needs: forcing one the CPU lacks kills the process
+_KERNELS = {"SkylakeX": {"avx512f", "avx512bw"}, "Haswell": {"avx2", "fma"},
+            "Prescott": set()}
+
+
+def _dynamic_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return ("openblas" in str(blas.get("name", "")).lower()
+            and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
+
+
+def _runnable_kernels() -> list[str]:
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return []
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = next((set(line.split(":", 1)[1].split()) for line in fh
+                          if line.startswith("flags")), set())
+    except OSError:
+        return []
+    return [k for k, needs in _KERNELS.items() if needs <= flags]
+
+
+def test_dense_scores_have_the_same_bits_under_every_blas_kernel():
+    if not _dynamic_openblas():
+        pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+    kernels = _runnable_kernels()
+    if len(kernels) < 2:
+        pytest.skip("this CPU runs fewer than two OpenBLAS kernels")
+    digests = {}
+    for kernel in kernels:
+        proc = subprocess.run(
+            [sys.executable, "-c", _DENSE_POOL_DIGEST],
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel,
+                 "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests[kernel] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
+
+
+# numpy names that reach a BLAS routine, as attributes or imports
+_BLAS_NAMES = {"dot", "vdot", "inner", "linalg", "matmul", "einsum", "tensordot"}
+
+
+def _blas_uses(tree: ast.AST) -> list[str]:
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append(f"line {node.lineno}: @")
+        elif (isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            uses.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES - {"dot", "inner"}:
+            uses.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            uses += [f"line {node.lineno}: from {node.module} import {a.name}"
+                     for a in node.names
+                     if a.name in _BLAS_NAMES or "linalg" in node.module]
+        elif isinstance(node, ast.Import):
+            uses += [f"line {node.lineno}: import {a.name}" for a in node.names
+                     if a.name.startswith("numpy.linalg")]
+    return uses
+
+
+def test_no_module_makes_a_blas_call():
+    # a BLAS routine's rounding depends on the kernel picked for the CPU;
+    # every score adds its products left to right instead
+    modules = sorted(Path(headingrank.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    found = {m.name: _blas_uses(ast.parse(m.read_text(encoding="utf-8")))
+             for m in modules}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    planted = "import numpy as np\nx = np.dot(a, b) + np.linalg.norm(a)\ny = a @ b\n"
+    assert len(_blas_uses(ast.parse(planted))) == 3
