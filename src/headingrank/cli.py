@@ -2,9 +2,12 @@
 
 Subcommands: index, env, run, eval, compare, pipeline. Exit codes:
 0 on success, 2 for usage problems and malformed or inconsistent
-inputs, 1 for unexpected internal failures. Every random choice in a
-command is derived from its --seed, so rerunning with equal inputs
-produces byte-identical output files.
+inputs, 1 for internal faults. utils.InputError is the one type of
+malformed input: every check of a flag or a file raises it, before a
+command writes anything. A command exits 2 on it and on an OSError or
+UnicodeDecodeError; any other exception, a plain ValueError included,
+exits 1. Every random choice in a command is derived from its --seed,
+so rerunning with equal inputs produces byte-identical output files.
 """
 
 from __future__ import annotations
@@ -16,32 +19,25 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .corpus import (Corpus, CorpusError, FoldAssignment, HeadingQuery, Qrels,
-                     all_queries, assign_folds, derive_qrels, load_corpus,
-                     read_qrels, write_qrels)
+from .corpus import (Corpus, FoldAssignment, HeadingQuery, Qrels, all_queries,
+                     assign_folds, derive_qrels, iter_sections, load_corpus, read_qrels,
+                     section_query_id, write_qrels)
 from .envgen import (CandidateSet, EnvSpec, build_test_env, build_train_env,
                      generate_candidates, read_candidates, write_candidates)
-from .evaluation import (MetricsReport, RunFile, RunFormatError, evaluate_run,
-                         format_metrics, format_p_value, paired_t_test, read_run,
-                         run_from_rankings, write_metrics, write_run)
+from .evaluation import (MetricsReport, RunFile, evaluate_run, format_metrics,
+                         format_p_value, paired_t_test, read_run, run_from_rankings,
+                         write_metrics, write_run)
 from .expansion import build_heading_support
 from .index import (Index, Ranking, build_index, index_fingerprint, load_index,
                     save_index)
 from .ltr import CaConfig, FeatureTable, assemble_feature_table, cross_validate, save_model
-from .methods import (InvalidCombinationError, MethodEngine, MethodParams,
-                      VALID_COMBINATIONS)
+from .methods import MethodEngine, MethodParams, VALID_COMBINATIONS
 from .semvec import (CachingLinker, build_entity_stats, load_embeddings,
                      load_entity_stats, load_gazetteer)
 from .textproc import DEFAULT_CONFIG, TokenPipelineConfig, load_stopwords
-from .utils import derive_seed
+from .utils import InputError, derive_seed
 
-
-class CliInputError(ValueError):
-    """Inconsistent input detected at the command layer."""
-
-
-_INPUT_ERRORS = (CorpusError, RunFormatError, InvalidCombinationError,
-                 CliInputError, ValueError, OSError)
+_INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError)
 
 
 # --- shared plumbing ----------------------------------------------------
@@ -78,9 +74,9 @@ def _load_resources(args: argparse.Namespace, corpus: Corpus, texts: Mapping[str
     """
     for name, params in scorers:
         if params.needs_embeddings and not args.embeddings:
-            raise CliInputError(f"{name} requires --embeddings")
+            raise InputError(f"{name} requires --embeddings")
         if params.needs_linker and not args.gazetteer:
-            raise CliInputError(f"{name} requires --gazetteer")
+            raise InputError(f"{name} requires --gazetteer")
     res: dict[str, object] = {}
     if any(params.needs_embeddings for _, params in scorers):
         res["embeddings"] = load_embeddings(args.embeddings)
@@ -107,22 +103,22 @@ def _validate_candidates(pools: Mapping[str, Iterable[str]], ix: Index,
                          known_queries: set[str], source: str) -> None:
     for qid, pids in pools.items():
         if qid not in known_queries:
-            raise CliInputError(
+            raise InputError(
                 f"query {qid!r} in {source} does not belong to this corpus")
         for pid in pids:
             if pid not in ix:
-                raise CliInputError(
+                raise InputError(
                     f"paragraph {pid!r} in {source} is not in the index")
 
 
 def _check_at_least_one(flag: str, value: int) -> None:
     if value < 1:
-        raise CliInputError(f"{flag} must be >= 1, got {value}")
+        raise InputError(f"{flag} must be >= 1, got {value}")
 
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
-        raise CliInputError(f"--alpha must be in (0, 1), got {alpha:g}")
+        raise InputError(f"--alpha must be in (0, 1), got {alpha:g}")
 
 
 def _check_fold_training(queries: Sequence[HeadingQuery], qrels: Qrels,
@@ -133,11 +129,26 @@ def _check_fold_training(queries: Sequence[HeadingQuery], qrels: Qrels,
         train = [q.query_id for q in queries
                  if folds.fold_of(q.page_id) != f and qrels.relevant(q.query_id)]
         if not train:
-            raise CliInputError(f"--ltr-folds {folds.k}: no training query of "
-                                f"fold {f} has a relevant paragraph")
+            raise InputError(f"--ltr-folds {folds.k}: no training query of "
+                             f"fold {f} has a relevant paragraph")
         if with_rows.isdisjoint(train):
-            raise CliInputError(f"--ltr-folds {folds.k}: no training query of "
-                                f"fold {f} with a relevant paragraph has a candidate")
+            raise InputError(f"--ltr-folds {folds.k}: no training query of "
+                             f"fold {f} with a relevant paragraph has a candidate")
+
+
+def _load_corpus(path: str) -> Corpus:
+    """The corpus at path, whose sections must have distinct query ids:
+    two sections of a page under one heading path would share one."""
+    corpus = load_corpus(path)
+    for page in corpus.pages:
+        seen: set[tuple[str, ...]] = set()
+        for section in iter_sections(page):
+            heading_path = (*section.path, section.heading)
+            if heading_path in seen:
+                raise InputError(f"corpus {path}: two sections have the query id "
+                                 f"{section_query_id(page, section)!r}")
+            seen.add(heading_path)
+    return corpus
 
 
 def _texts(corpus: Corpus) -> dict[str, str]:
@@ -155,7 +166,7 @@ def _corpus_index(args: argparse.Namespace, texts: Mapping[str, str],
     if ix.doc_lengths.keys() != texts.keys():
         only_index = len(ix.doc_lengths.keys() - texts.keys())
         only_corpus = len(texts.keys() - ix.doc_lengths.keys())
-        raise CliInputError(
+        raise InputError(
             f"index {args.index} was not built from this corpus: "
             f"{only_index} paragraph ids only in the index, "
             f"{only_corpus} only in the corpus")
@@ -164,14 +175,14 @@ def _corpus_index(args: argparse.Namespace, texts: Mapping[str, str],
                       ("tokens", "token settings (stopwords, stem, drop_digits) "
                                  "than this command's")):
         if ix.fingerprint[key] != expected[key]:
-            raise CliInputError(f"index {args.index} was built from other {what}")
+            raise InputError(f"index {args.index} was built from other {what}")
     return ix
 
 
 # --- subcommands --------------------------------------------------------
 
 def cmd_index(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     ix = build_index(_texts(corpus), _token_config(args))
     save_index(ix, args.out)
     print(f"indexed {ix.n_docs} paragraphs, {len(ix.postings)} terms -> {args.out}")
@@ -179,7 +190,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_env(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     if args.mode == "train":
         spec = EnvSpec(neg_same_article=args.neg_same,
                        neg_other_article=args.neg_other, seed=args.seed)
@@ -199,7 +210,7 @@ def cmd_env(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     _check_at_least_one("--k", args.k)
-    corpus = load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     texts = _texts(corpus)
     cfg = _token_config(args)
     ix = _corpus_index(args, texts, cfg)
@@ -286,7 +297,7 @@ def _parse_scorers(args: argparse.Namespace) -> list[tuple[str, MethodParams]]:
                                          expansion.strip() or "none")))
     names = [n for n, _ in out]
     if len(set(names)) != len(names):
-        raise CliInputError("duplicate scorer in --scorers")
+        raise InputError("duplicate scorer in --scorers")
     return out
 
 
@@ -295,7 +306,7 @@ def _score_features(args: argparse.Namespace, out_dir: Path) -> tuple[
     """Check the inputs, write qrels, candidates and scorer runs, return what
     fusion reads; the corpus, index and engines die before fold workers fork."""
     _check_at_least_one("--candidate-k", args.candidate_k)
-    corpus = load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     folds = assign_folds(corpus, args.ltr_folds, args.seed)
     scorers = _parse_scorers(args)
     texts = _texts(corpus)
@@ -308,20 +319,20 @@ def _score_features(args: argparse.Namespace, out_dir: Path) -> tuple[
     if args.external_scores:
         external = read_run(args.external_scores)
         if external.name in feature_names:
-            raise CliInputError(
+            raise InputError(
                 f"external run name {external.name!r} collides with a scorer")
         _validate_candidates(
             {q: r.paragraph_ids() for q, r in external.rankings.items()},
             ix, {q.query_id for q in queries}, args.external_scores)
         feature_names.append(external.name)
     if not feature_names:
-        raise CliInputError("at least one feature required")
+        raise InputError("at least one feature required")
     if args.without:
         if args.without not in feature_names:
-            raise CliInputError(
+            raise InputError(
                 f"--without {args.without!r} is not one of {feature_names}")
         if len(feature_names) < 2:
-            raise CliInputError("cannot ablate the only feature")
+            raise InputError("cannot ablate the only feature")
 
     qrels = derive_qrels(corpus)
     candidates = generate_candidates(ix, queries, k=args.candidate_k)
@@ -528,7 +539,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
 

@@ -19,9 +19,10 @@ from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
 from .textproc import TokenPipelineConfig, DEFAULT_CONFIG, tokenize
+from .utils import InputError
 
 
-class CorpusError(ValueError):
+class CorpusError(InputError):
     pass
 
 
@@ -131,6 +132,23 @@ def query_page(query_id: str) -> str:
     return unquote(query_id.split("/", 1)[0])
 
 
+def _list_field(record: dict, key: str, line_no: int) -> list:
+    """record[key], or [] when it is absent; anything but a list is a ParseError."""
+    value = record.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(line_no, f"{key!r} must be a list")
+    return value
+
+
+def _check_encodable(value: str, line_no: int, what: str) -> None:
+    """Reject a lone surrogate, which a JSON escape can spell and no output
+    file could encode."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(line_no, f"{what} {value!r} holds a lone surrogate") from None
+
+
 def _parse_section(node: object, path: tuple[str, ...], line_no: int,
                    defs: dict[str, str], refs: list[tuple[str, str]],
                    page_id: str, seen_in_page: set[str]) -> Section:
@@ -139,14 +157,16 @@ def _parse_section(node: object, path: tuple[str, ...], line_no: int,
     heading = node.get("heading")
     if not isinstance(heading, str) or not heading:
         raise ParseError(line_no, "section requires a non-empty 'heading'")
+    _check_encodable(heading, line_no, "heading")
     para_ids = []
-    for entry in node.get("paragraphs", []):
+    for entry in _list_field(node, "paragraphs", line_no):
         if isinstance(entry, str):
             pid, text = entry, None
         elif isinstance(entry, dict) and isinstance(entry.get("id"), str):
             pid, text = entry["id"], entry.get("text")
         else:
             raise ParseError(line_no, "paragraph entry must be an id or an {id, text} object")
+        _check_encodable(pid, line_no, "paragraph id")
         if pid in seen_in_page:
             raise IntegrityError(
                 f"line {line_no}: paragraph {pid!r} referenced twice by page {page_id!r}")
@@ -162,7 +182,7 @@ def _parse_section(node: object, path: tuple[str, ...], line_no: int,
         para_ids.append(pid)
     children = tuple(
         _parse_section(c, (*path, heading), line_no, defs, refs, page_id, seen_in_page)
-        for c in node.get("children", [])
+        for c in _list_field(node, "children", line_no)
     )
     return Section(heading=heading, path=path, paragraphs=tuple(para_ids), children=children)
 
@@ -187,6 +207,7 @@ def parse_corpus(lines: Iterable[str]) -> Corpus:
         title = record.get("title")
         if not isinstance(page_id, str) or not page_id:
             raise ParseError(line_no, "page requires a non-empty 'id'")
+        _check_encodable(page_id, line_no, "page id")
         if not isinstance(title, str):
             raise ParseError(line_no, "page requires a 'title'")
         if page_id in seen_pages:
@@ -195,7 +216,7 @@ def parse_corpus(lines: Iterable[str]) -> Corpus:
         seen_in_page: set[str] = set()
         sections = tuple(
             _parse_section(s, (), line_no, defs, refs, page_id, seen_in_page)
-            for s in record.get("sections", [])
+            for s in _list_field(record, "sections", line_no)
         )
         pages.append(Page(id=page_id, title=title, sections=sections))
     for page_id, pid in refs:
@@ -288,10 +309,10 @@ def derive_qrels(corpus: Corpus) -> Qrels:
 def balanced_folds(ids: Iterable[str], k: int, seed: int) -> FoldAssignment:
     """Seeded partition of distinct ids into k folds whose sizes differ by at most 1."""
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise InputError(f"k must be >= 2, got {k}")
     order = sorted(set(ids))
     if k > len(order):
-        raise ValueError(f"k={k} exceeds page count {len(order)}")
+        raise InputError(f"k={k} exceeds page count {len(order)}")
     random.Random(seed).shuffle(order)
     base, extra = divmod(len(order), k)
     # fold f takes the next base ids, and one more while f < extra

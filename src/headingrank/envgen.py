@@ -29,7 +29,7 @@ from typing import Iterator, Mapping
 from .corpus import Corpus, HeadingQuery, Page, iter_sections, section_query_id
 from .index import (Bm25Params, Index, bm25_scores, matching_paragraphs,
                     rank_items)
-from .utils import derive_seed
+from .utils import InputError, derive_seed
 
 PROVENANCE_TRUE = "true-section"
 PROVENANCE_SAME = "same-article"
@@ -45,7 +45,7 @@ class EnvSpec:
 
     def __post_init__(self):
         if self.neg_same_article < 0 or self.neg_other_article < 0:
-            raise ValueError("negative budgets must be >= 0")
+            raise InputError("negative budgets must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def read_candidates(path: str) -> dict[str, CandidateSet]:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ValueError(
+                raise InputError(
                     f"line {line_no}: expected queryId<TAB>paragraphId<TAB>provenance")
             qid, pid, prov = parts
             rows.setdefault(qid, []).append((pid, prov))
@@ -232,7 +232,7 @@ def read_candidates(path: str) -> dict[str, CandidateSet]:
     for qid, pairs in rows.items():
         pids = tuple(p for p, _ in pairs)
         if len(set(pids)) != len(pids):
-            raise ValueError(f"duplicate candidate row for query {qid!r}")
+            raise InputError(f"duplicate candidate row for query {qid!r}")
         sets[qid] = CandidateSet(
             query_id=qid,
             paragraph_ids=pids,

@@ -9,10 +9,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Qrels
 from .index import Ranking
-from .utils import ordered_sum
+from .utils import InputError, ordered_sum
 
 
-class RunFormatError(ValueError):
+class RunFormatError(InputError):
     """Run file violates the format contract; carries the 1-based row number."""
 
     def __init__(self, row_no: int, message: str):
@@ -198,7 +198,8 @@ def paired_t_test(ap_a: Mapping[str, float], ap_b: Mapping[str, float],
             f"mismatched query sets: only in A {missing_b}, only in B {missing_a}")
     n = len(keys_a)
     if n < 2:
-        raise ValueError("paired t-test requires n >= 2")
+        raise InputError(f"paired t-test requires n >= 2 queries with a relevant "
+                         f"paragraph, got {n}")
     diffs = [ap_a[q] - ap_b[q] for q in sorted(keys_a)]
     mean = ordered_sum(diffs) / n
     if all(d == 0.0 for d in diffs):

@@ -42,7 +42,7 @@ from functools import cached_property
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from .textproc import TokenPipelineConfig, DEFAULT_CONFIG, tokenize
-from .utils import ordered_sum
+from .utils import InputError, ordered_sum
 
 INDEX_FORMAT = "headingrank-index"
 INDEX_VERSION = 2
@@ -54,10 +54,10 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError("k1 must be > 0")
+        if not 0.0 < self.k1 < math.inf:
+            raise InputError("k1 must be > 0 and finite")
         if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
+            raise InputError("b must be in [0, 1]")
 
 
 def same_space(a, b) -> None:
@@ -181,7 +181,7 @@ def build_index(paragraphs: Mapping[str, str],
                 cfg: TokenPipelineConfig = DEFAULT_CONFIG) -> Index:
     """Index a paragraph id -> text map. Deterministic for equal content."""
     if not paragraphs:
-        raise ValueError("cannot index an empty paragraph map")
+        raise InputError("cannot index an empty paragraph map")
     postings: dict[str, list[tuple[str, int]]] = {}
     doc_lengths: dict[str, int] = {}
     for pid in sorted(paragraphs):
@@ -341,21 +341,43 @@ def save_index(ix: Index, path: str) -> None:
 
 
 def load_index(path: str) -> Index:
+    """The index save_index wrote to path. A file that is not JSON, not
+    an index artifact or of another version, or whose postings are not
+    [paragraph id, tf >= 1] pairs adding up to its doc_lengths, raises
+    InputError naming the path."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != INDEX_FORMAT:
-        raise ValueError(f"not an index artifact: {path}")
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise InputError(f"index artifact {path} is not JSON: {e}") from None
+    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
+        raise InputError(f"not an index artifact: {path}")
     if payload.get("version") != INDEX_VERSION:
-        raise ValueError(f"unsupported index version {payload.get('version')} "
+        raise InputError(f"unsupported index version {payload.get('version')} "
                          f"in {path}; rebuild it with the index command")
     missing = [k for k in ("doc_lengths", "fingerprint", "postings") if k not in payload]
     if missing:
-        raise ValueError(f"index artifact {path} lacks {', '.join(missing)}")
+        raise InputError(f"index artifact {path} lacks {', '.join(missing)}")
     fingerprint = payload["fingerprint"]
     if not isinstance(fingerprint, dict) or set(fingerprint) != {"texts", "tokens"}:
-        raise ValueError(f"index artifact {path} has a malformed fingerprint")
-    postings = {t: [(pid, int(tf)) for pid, tf in pl]
-                for t, pl in payload["postings"].items()}
-    return Index(postings=postings,
-                 doc_lengths={p: int(n) for p, n in payload["doc_lengths"].items()},
-                 fingerprint=fingerprint)
+        raise InputError(f"index artifact {path} has a malformed fingerprint")
+    doc_lengths, listed = payload["doc_lengths"], payload["postings"]
+    if not (isinstance(doc_lengths, dict) and isinstance(listed, dict)
+            and all(isinstance(pl, list) for pl in listed.values())):
+        raise InputError(f"index artifact {path}: doc_lengths must be an object, "
+                         f"and postings an object of lists")
+    tf_sums = dict.fromkeys(doc_lengths, 0)
+    postings: dict[str, list[tuple[str, int]]] = {}
+    for term, pl in listed.items():
+        postings[term] = pairs = []
+        for posting in pl:
+            if not (isinstance(posting, list) and len(posting) == 2
+                    and isinstance(posting[0], str) and posting[0] in tf_sums
+                    and type(posting[1]) is int and posting[1] >= 1):
+                raise InputError(f"index artifact {path}: posting {posting!r} of {term!r} "
+                                 f"is not a [paragraph id, tf >= 1] pair")
+            tf_sums[posting[0]] += posting[1]
+            pairs.append((posting[0], posting[1]))
+    if tf_sums != doc_lengths:
+        raise InputError(f"index artifact {path}: postings do not add up to doc_lengths")
+    return Index(postings=postings, doc_lengths=tf_sums, fingerprint=fingerprint)

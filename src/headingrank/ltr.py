@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import FoldAssignment, Qrels, balanced_folds, query_page
 from .evaluation import RunFile
 from .index import Ranking, rank_items
-from .utils import derive_seed
+from .utils import InputError, derive_seed
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,9 @@ class CaConfig:
 
     def __post_init__(self):
         if self.restarts < 1 or self.iterations < 1:
-            raise ValueError("restarts and iterations must be >= 1")
+            raise InputError("restarts and iterations must be >= 1")
         if not self.step_sizes or any(s <= 0 for s in self.step_sizes):
-            raise ValueError("step sizes must be positive")
+            raise InputError("step sizes must be positive")
 
 
 class FeatureTable(Mapping[str, np.ndarray]):

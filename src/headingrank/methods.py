@@ -15,6 +15,7 @@ with them, and a vector method sums them into its space with one idf sum.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,6 +26,7 @@ from .index import (Bm25Params, Index, Ranking, bm25_scores, matching_paragraphs
                     rank_items, sparse_sum, tfidf_vector)
 from .semvec import (EmbeddingStore, EntityLinker, EntityStats, Vector, cosine,
                      embedding_sum, entity_vector, link_or_warn, text_vector)
+from .utils import InputError
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +41,7 @@ VALID_COMBINATIONS: dict[str, frozenset[str]] = {
 }
 
 
-class InvalidCombinationError(ValueError):
+class InvalidCombinationError(InputError):
     def __init__(self, method: str, expansion: str):
         valid = ", ".join(sorted(VALID_COMBINATIONS.get(method, frozenset())))
         super().__init__(
@@ -62,19 +64,19 @@ class MethodParams:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise InputError(f"unknown method {self.method!r}")
         if self.expansion not in EXPANSIONS:
-            raise ValueError(f"unknown expansion {self.expansion!r}")
+            raise InputError(f"unknown expansion {self.expansion!r}")
         if self.expansion not in VALID_COMBINATIONS[self.method]:
             raise InvalidCombinationError(self.method, self.expansion)
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must be in [0, 1]")
+            raise InputError("lambda must be in [0, 1]")
         self.bm25_params()  # Bm25Params validates k1 and b
-        if self.mu <= 0:
-            raise ValueError("mu must be > 0")
+        if not 0.0 < self.mu < math.inf:
+            raise InputError("mu must be > 0 and finite")
         if min(self.fb_docs, self.fb_terms, self.fb_entities,
                self.rocchio_passages) < 1:
-            raise ValueError("feedback budgets must be >= 1")
+            raise InputError("feedback budgets must be >= 1")
 
     def bm25_params(self) -> Bm25Params:
         return Bm25Params(k1=self.k1, b=self.b)

@@ -42,12 +42,12 @@ import numpy as np
 
 from .index import Index, SparseVector, same_space, tfidf_idf
 from .textproc import TOKEN_RE
-from .utils import ordered_sum
+from .utils import InputError, ordered_sum
 
 log = logging.getLogger(__name__)
 
 
-class EmbeddingFormatError(ValueError):
+class EmbeddingFormatError(InputError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
@@ -262,7 +262,7 @@ def load_gazetteer(path: str) -> GazetteerLinker:
             if not line.strip():
                 continue
             if "\t" not in line:
-                raise ValueError(f"line {line_no}: expected surface<TAB>entityId")
+                raise InputError(f"line {line_no}: expected surface<TAB>entityId")
             surface, entity_id = line.split("\t", 1)
             if surface and surface not in table:
                 table[surface] = entity_id
@@ -282,7 +282,7 @@ def _line_int(line_no: int, what: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"line {line_no}: {what} must be an integer, "
+        raise InputError(f"line {line_no}: {what} must be an integer, "
                          f"got {text!r}") from None
 
 
@@ -297,18 +297,18 @@ def load_entity_stats(path: str) -> EntityStats:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1)
                  if ln.strip()]
     if not lines or not lines[0][1].startswith("Ndocs\t"):
-        raise ValueError("entity stats file must start with 'Ndocs<TAB>n'")
+        raise InputError("entity stats file must start with 'Ndocs<TAB>n'")
     n_docs = _line_int(lines[0][0], "Ndocs", lines[0][1].split("\t", 1)[1])
     if n_docs < 1:
-        raise ValueError(f"line {lines[0][0]}: Ndocs must be >= 1, got {n_docs}")
+        raise InputError(f"line {lines[0][0]}: Ndocs must be >= 1, got {n_docs}")
     ldf: dict[str, int] = {}
     for line_no, line in lines[1:]:
         if "\t" not in line:
-            raise ValueError(f"line {line_no}: expected entityId<TAB>linkDocFreq")
+            raise InputError(f"line {line_no}: expected entityId<TAB>linkDocFreq")
         entity_id, count = line.split("\t", 1)
         ldf[entity_id] = _line_int(line_no, f"link doc freq of {entity_id!r}", count)
         if not 0 <= ldf[entity_id] <= n_docs:
-            raise ValueError(f"line {line_no}: link doc freq {ldf[entity_id]} of "
+            raise InputError(f"line {line_no}: link doc freq {ldf[entity_id]} of "
                              f"{entity_id!r} is outside [0, Ndocs={n_docs}]")
     return EntityStats(link_doc_freq=ldf, n_docs=n_docs)
 

@@ -6,6 +6,11 @@ import hashlib
 from typing import Iterable
 
 
+class InputError(ValueError):
+    """A malformed or inconsistent flag value or input file: the one type
+    the CLI reports as a usage problem (exit 2)."""
+
+
 def derive_seed(*parts: object) -> int:
     """Stable 64-bit seed from any printable parts.
 

@@ -10,12 +10,16 @@ import pytest
 
 from headingrank import cli, ltr
 from headingrank.cli import main
-from headingrank.corpus import (all_queries, assign_folds, derive_qrels,
-                                load_corpus, write_corpus)
-from headingrank.envgen import read_candidates
-from headingrank.evaluation import read_run
-from headingrank.index import Index
+from headingrank.corpus import (CorpusError, all_queries, assign_folds, balanced_folds,
+                                derive_qrels, load_corpus, write_corpus)
+from headingrank.envgen import EnvSpec, read_candidates
+from headingrank.evaluation import RunFormatError, read_run
+from headingrank.index import Bm25Params, Index
+from headingrank.ltr import CaConfig
+from headingrank.methods import InvalidCombinationError, MethodParams
+from headingrank.semvec import EmbeddingFormatError
 from headingrank.synth import SynthSpec, write_fixture
+from headingrank.utils import InputError
 
 from conftest import (BAD_ENTITY_STATS, corpus_from_pages, exit_in_worker,
                       needs_fork, page, section, time_limit)
@@ -89,6 +93,32 @@ def test_pipeline_eval_and_compare_never_import_scipy(tmp_path):
     assert len(rows) == 2
     # the t-test ran on real differences, so the tail was computed
     assert any(0.0 < float(row.split("\t")[5]) < 1.0 for row in rows), rows
+
+
+# --- exit codes ---------------------------------------------------------
+
+def test_input_error_is_the_one_input_error_type():
+    # a plain ValueError is an internal fault (exit 1), not a usage error
+    assert cli._INPUT_ERRORS == (InputError, OSError, UnicodeDecodeError)
+    assert not hasattr(cli, "CliInputError")
+    for cls in (CorpusError, RunFormatError, InvalidCombinationError,
+                EmbeddingFormatError):
+        assert issubclass(cls, InputError)
+    assert issubclass(InputError, ValueError)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MethodParams(method="nope"), lambda: MethodParams(lam=float("nan")),
+    lambda: MethodParams(mu=float("nan")), lambda: MethodParams(mu=float("inf")),
+    lambda: MethodParams(fb_docs=0), lambda: Bm25Params(k1=float("nan")),
+    lambda: Bm25Params(k1=float("inf")), lambda: Bm25Params(b=float("nan")),
+    lambda: CaConfig(restarts=0), lambda: CaConfig(step_sizes=()),
+    lambda: EnvSpec(neg_same_article=-1), lambda: balanced_folds(["a", "b"], 1, 0),
+    lambda: balanced_folds(["a", "b"], 3, 0),
+])
+def test_flag_checks_raise_input_error(make):
+    with pytest.raises(InputError):
+        make()
 
 
 # --- argparse surface ---------------------------------------------------
@@ -438,6 +468,19 @@ def test_compare_reports_significance_fields(corpus_path, run_and_qrels,
     assert out.read_text(encoding="utf-8") == text
 
 
+def test_compare_needs_two_judged_queries(run_and_qrels, tmp_path, capsys):
+    run, qrels = run_and_qrels
+    one = tmp_path / "one-query.txt"
+    one.write_text(qrels.read_text(encoding="utf-8").splitlines()[0] + "\n",
+                   encoding="utf-8")
+    out = tmp_path / "cmp.txt"
+    assert run_cli("compare", "--run-a", run, "--run-b", run, "--qrels", one,
+                   "--out", out) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: paired t-test requires n >= 2 queries with a relevant paragraph, got 1")
+    assert not out.exists()
+
+
 def test_compare_run_against_itself_is_never_significant(run_and_qrels, capsys):
     run, qrels = run_and_qrels
     assert run_cli("compare", "--run-a", run, "--run-b", run,
@@ -556,6 +599,17 @@ def test_pipeline_dead_fold_worker_exits_1(corpus_path, tmp_path, monkeypatch,
                        "--out-dir", tmp_path / "exp", *PIPELINE_ARGS)
     assert code == 1
     assert "BrokenProcessPool" in capsys.readouterr().err
+
+
+def test_pipeline_internal_fault_exits_1(corpus_path, tmp_path, monkeypatch, capsys):
+    # a plain ValueError from inside the program is a fault, not bad input
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cross_validate", boom)
+    assert run_cli("pipeline", "--corpus", corpus_path,
+                   "--out-dir", tmp_path / "exp", *PIPELINE_ARGS) == 1
+    assert capsys.readouterr().err.startswith("internal error: ValueError('boom')")
 
 
 def test_pipeline_ablation_writes_extra_run(corpus_path, tmp_path, capsys):
@@ -721,6 +775,29 @@ def test_entity_stats_without_an_idf_exit_2_before_writing(
         argv = ("run", "--method", "entity-cs", "--out", out_dir / "run.txt")
     assert run_cli(*argv, "--corpus", corpus_path, *resources) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["index", "env", "run", "pipeline"])
+def test_sections_sharing_a_query_id_exit_2_before_writing(tmp_path, capsys, command):
+    # two sibling sections under one heading would share one query id
+    corpus = corpus_from_pages([
+        page("a", "Rivers", [section("Flow", [("p1", "water downhill")]),
+                             section("Flow", [("p2", "the river flow rate")])]),
+        page("b", "Lakes", [section("Depth", [("p3", "lake depth")])]),
+    ])
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, str(path))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = {"index": ["--out", out_dir / "ix.json"],
+            "env": ["--mode", "train", "--out", out_dir / "env.tsv",
+                    "--qrels-out", out_dir / "qrels.txt"],
+            "run": ["--out", out_dir / "run.txt"],
+            "pipeline": ["--out-dir", out_dir, "--ltr-folds", "2"]}[command]
+    assert run_cli(command, "--corpus", path, *argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: corpus {path}: two sections have the query id 'a/Flow'")
     assert list(out_dir.iterdir()) == []
 
 

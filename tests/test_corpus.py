@@ -86,6 +86,31 @@ def test_parse_rejects_empty_paragraph_text():
         corpus_from_pages([page("a", "A", [section("H", [("x1", "")])])])
 
 
+@pytest.mark.parametrize("record", [
+    {"id": "a", "title": "A", "sections": 5},
+    {"id": "a", "title": "A", "sections": [{"heading": "H", "paragraphs": "x1"}]},
+    {"id": "a", "title": "A", "sections": [{"heading": "H", "children": 5}]},
+    {"id": "a", "title": "A", "sections": [{"heading": "H", "children": None}]},
+])
+def test_parse_rejects_a_field_that_is_not_a_list(record):
+    lines = [json.dumps(page("b", "B", [])), json.dumps(record)]
+    with pytest.raises(ParseError, match="must be a list") as exc:
+        parse_corpus(lines)
+    assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("record, what", [
+    ({"id": "a\ud800", "title": "A"}, "page id"),
+    ({"id": "a", "title": "A", "sections": [{"heading": "H\udc00"}]}, "heading"),
+    ({"id": "a", "title": "A", "sections": [{"heading": "H", "paragraphs": ["\ud800"]}]},
+     "paragraph id"),
+])
+def test_parse_rejects_a_lone_surrogate_in_an_id(record, what):
+    # JSON escapes can spell one; a query id or a run row could not encode it
+    with pytest.raises(ParseError, match=f"line 1: {what} .* holds a lone surrogate"):
+        parse_corpus([json.dumps(record)])
+
+
 def test_parse_skips_blank_lines():
     lines = ["", json.dumps(page("a", "A", [])), "   "]
     assert len(parse_corpus(lines).pages) == 1

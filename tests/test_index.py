@@ -33,6 +33,8 @@ from headingrank.index import (
     tfidf_vector,
 )
 
+from headingrank.utils import InputError
+
 from conftest import (PLAIN_CFG, plain_index, ref_bm25_term_score,
                       ref_lm_dirichlet_score, ref_norm)
 
@@ -374,6 +376,43 @@ def test_load_index_rejects_malformed_fingerprint(tmp_path, three_doc_index, fin
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match="malformed fingerprint"):
         load_index(str(path))
+
+
+def _saved_payload(tmp_path, ix):
+    save_index(ix, str(tmp_path / "ix.json"))
+    return json.loads((tmp_path / "ix.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda p: [p], "not an index artifact"),
+    (lambda p: {**p, "postings": []}, "postings an object of lists"),
+    (lambda p: {**p, "postings": {"a": 5}}, "postings an object of lists"),
+    (lambda p: {**p, "doc_lengths": []}, "doc_lengths must be an object"),
+    (lambda p: {**p, "postings": {**p["postings"], "a": [["d1"]]}}, "is not a"),
+    (lambda p: {**p, "postings": {**p["postings"], "a": [["d1", "2"]]}}, "is not a"),
+    (lambda p: {**p, "postings": {**p["postings"], "a": [["d1", 0]]}}, "is not a"),
+    (lambda p: {**p, "postings": {**p["postings"], "a": [[["d1"], 2]]}}, "is not a"),
+    (lambda p: {**p, "postings": {**p["postings"], "a": [["ghost", 2]]}}, "is not a"),
+    (lambda p: {**p, "postings": {**p["postings"], "a": [["d1", 3]]}}, "do not add up"),
+    (lambda p: {**p, "doc_lengths": {**p["doc_lengths"], "d2": 0}}, "do not add up"),
+])
+def test_load_index_rejects_malformed_statistics(tmp_path, three_doc_index, change,
+                                                 message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(change(_saved_payload(tmp_path, three_doc_index))),
+                    encoding="utf-8")
+    with pytest.raises(InputError, match=message) as exc:
+        load_index(str(path))
+    assert str(path) in str(exc.value)
+
+
+def test_load_index_rejects_a_cut_file_naming_it(tmp_path, three_doc_index):
+    save_index(three_doc_index, str(tmp_path / "ix.json"))
+    path = tmp_path / "cut.json"
+    path.write_bytes((tmp_path / "ix.json").read_bytes()[:40])
+    with pytest.raises(InputError, match="is not JSON") as exc:
+        load_index(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_load_index_rejects_foreign_file(tmp_path):
