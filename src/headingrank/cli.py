@@ -6,8 +6,9 @@ inputs, 1 for internal faults. utils.InputError is the one type of
 malformed input: every check of a flag or a file raises it, before a
 command writes anything. A command exits 2 on it and on an OSError or
 UnicodeDecodeError; any other exception, a plain ValueError included,
-exits 1. Every random choice in a command is derived from its --seed,
-so rerunning with equal inputs produces byte-identical output files.
+exits 1 and prints its traceback after its one-line message. Every
+random choice in a command is derived from its --seed, so rerunning
+with equal inputs produces byte-identical output files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import traceback
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -541,6 +543,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
         return 1
 
 

@@ -87,9 +87,6 @@ class Qrels:
 
     positives: dict[str, frozenset[str]]
 
-    def queries(self) -> list[str]:
-        return sorted(self.positives)
-
     def relevant(self, query_id: str) -> frozenset[str]:
         return self.positives.get(query_id, frozenset())
 

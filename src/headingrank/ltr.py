@@ -369,15 +369,14 @@ def _fold_workers(k: int) -> int:
 
     Workers are forked only on Linux, where fork is the default start
     method (on macOS a fork after system frameworks have started can
-    crash), and only with Python 3.11 or later, where ProcessPoolExecutor
-    forks every worker before it starts its manager thread; before 3.11
-    it forks each one on demand while that thread runs, which can
-    deadlock the child. Folds also train here when
-    something has wrapped a function a fold task calls since import (a
-    tracer, a call counter): the wrapper keeps its records in this
-    process, and a worker's copy of them would die with the worker.
+    crash). ProcessPoolExecutor forks every worker before it starts its
+    manager thread, so no child is forked while that thread runs. Folds
+    also train here when something has wrapped a function a fold task
+    calls since import (a tracer, a call counter): the wrapper keeps its
+    records in this process, and a worker's copy of them would die with
+    the worker.
     """
-    if not sys.platform.startswith("linux") or sys.version_info < (3, 11):
+    if not sys.platform.startswith("linux"):
         return 1
     if (train_coordinate_ascent, training_map, _PackedQueries.mean_ap) != _FOLD_CODE:
         return 1
@@ -407,10 +406,9 @@ def cross_validate(table: FeatureTable | Mapping[str, Sequence[FeatureVector]],
     order. Test queries are scored by linear_scores, as training trials
     are. A fold's arithmetic is the same in any process and makes no
     BLAS call, so every model, MAP and ranking is independent of the CPU
-    count, BLAS build and CPU model. With one
-    usable CPU, off Linux, before Python 3.11, or while a fold task's
-    code is wrapped (see _fold_workers), the folds train in this
-    process. A worker that dies raises BrokenProcessPool.
+    count, BLAS build and CPU model. With one usable CPU, off Linux, or
+    while a fold task's code is wrapped (see _fold_workers), the folds
+    train in this process. A worker that dies raises BrokenProcessPool.
     """
     table = _as_table(table, len(feature_names))
     qids = sorted(table)

@@ -13,11 +13,9 @@ and entity spaces.
 The default linker is a deterministic in-process gazetteer matcher
 (exact surface dictionary, longest match, left-to-right,
 case-insensitive), so the whole pipeline runs hermetically. Any other
-linker can be plugged in behind the same one-method interface; a
-remote implementation must raise LinkerUnavailableError on transport
-failure so callers can tell "no entities" from "no linker".
-link_or_warn is the one place a failure on one text is logged and
-taken as no entities.
+linker can be plugged in behind the same one-method interface; it
+raises LinkerError when it fails on a text. link_or_warn is the one
+place that failure is handled: it is logged and taken as no entities.
 
 cosine and normalized read each vector's kept norm, which the vector
 computes once, on first use: a cached paragraph vector's norm once per
@@ -55,10 +53,6 @@ class EmbeddingFormatError(InputError):
 
 class LinkerError(RuntimeError):
     """A linker failed on one text."""
-
-
-class LinkerUnavailableError(LinkerError):
-    """The linker backend cannot be reached at all (distinct from 'no entities')."""
 
 
 @dataclass(frozen=True)

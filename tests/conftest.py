@@ -355,8 +355,8 @@ def ref_match_pool(ix, terms):
 # --- fold worker processes ------------------------------------------------------
 
 needs_fork = pytest.mark.skipif(
-    not sys.platform.startswith("linux") or sys.version_info < (3, 11),
-    reason="folds train in forked worker processes only on Linux, Python 3.11+")
+    not sys.platform.startswith("linux"),
+    reason="folds train in forked worker processes only on Linux")
 
 _TEST_PID = os.getpid()
 

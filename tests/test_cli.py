@@ -3,8 +3,11 @@
 import gc
 import json
 import os
+import re
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -548,6 +551,68 @@ def test_pipeline_same_seed_is_byte_identical(corpus_path, tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GRID = runpy.run_path(str(SCRIPTS / "run_experiments.py"),
+                      run_name="grid")["DEFAULT_GRID"].split(",")
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    """A 5-page make_fixture.py fixture: corpus, embeddings and gazetteer."""
+    out = tmp_path_factory.mktemp("fixture")
+    make_fixture = runpy.run_path(str(SCRIPTS / "make_fixture.py"),
+                                  run_name="fixture")["main"]
+    assert make_fixture(["--out-dir", str(out), "--pages", "5"]) == 0
+    return out
+
+
+def _fixture_args(fixture_dir):
+    return ["--corpus", fixture_dir / "corpus.jsonl",
+            "--embeddings", fixture_dir / "embeddings.txt",
+            "--gazetteer", fixture_dir / "gazetteer.tsv"]
+
+
+def test_pipeline_outputs_do_not_depend_on_the_hash_seed(fixture_dir, tmp_path):
+    # set iteration order changes with PYTHONHASHSEED, which is fixed
+    # within one process; so the two pipelines run in two processes
+    argv = [sys.executable, "-m", "headingrank", "pipeline",
+            *map(str, _fixture_args(fixture_dir)),
+            "--scorers", "bm25+rm1,tfidf-cs+rocchio,glove-cs,entity-cs+ent-rm1",
+            "--ltr-folds", "2", "--restarts", "1", "--iterations", "3"]
+    dirs = []
+    for seed in ("1", "2"):
+        dirs.append(tmp_path / f"hash-seed-{seed}")
+        proc = subprocess.run([*argv, "--out-dir", str(dirs[-1])],
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                                   "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert "run-fused.txt" in names
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_run_reproduces_each_pipeline_scorer_run(fixture_dir, tmp_path):
+    # run and pipeline are two routes to one scorer: given the pipeline's
+    # candidates and seed, run must write the pipeline's run file
+    resources = _fixture_args(fixture_dir)
+    out_dir = tmp_path / "exp"
+    assert run_cli("pipeline", *resources, "--out-dir", out_dir,
+                   "--scorers", ",".join(GRID), "--seed", "5", "--ltr-folds", "2",
+                   "--restarts", "1", "--iterations", "3") == 0
+    for scorer in GRID:
+        method, _, expansion = scorer.partition("+")
+        out = tmp_path / f"{scorer}.txt"
+        assert run_cli("run", *resources, "--candidates", out_dir / "candidates.tsv",
+                       "--method", method, "--expansion", expansion or "none",
+                       "--seed", "5", "--ltr-folds", "2", "--run-name", scorer,
+                       "--out", out) == 0
+        expected = out_dir / f"run-{scorer.replace('+', '_')}.txt"
+        assert out.read_bytes() == expected.read_bytes(), scorer
+
+
 def test_pipeline_folds_are_the_page_folds(tmp_path):
     # pages of 1..5 headings: the page folds hold unequal query counts
     corpus_path = tmp_path / "corpus.jsonl"
@@ -609,7 +674,12 @@ def test_pipeline_internal_fault_exits_1(corpus_path, tmp_path, monkeypatch, cap
     monkeypatch.setattr(cli, "cross_validate", boom)
     assert run_cli("pipeline", "--corpus", corpus_path,
                    "--out-dir", tmp_path / "exp", *PIPELINE_ARGS) == 1
-    assert capsys.readouterr().err.startswith("internal error: ValueError('boom')")
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ValueError('boom')\n"
+                          "Traceback (most recent call last):\n")
+    # the traceback names the function that raised and its file
+    assert re.search(rf'File ".*{re.escape(Path(__file__).name)}", line \d+, in boom\n',
+                     err), err
 
 
 def test_pipeline_ablation_writes_extra_run(corpus_path, tmp_path, capsys):

@@ -3,9 +3,9 @@
 Each example starts from a valid 5-page fixture and applies one
 corruption: a JSON field's type or value, a number in a text line, a
 cut line, a missing file, or an out-of-range flag. The command must
-exit 0, or exit 2 with an `error:` line and no file written; it must
-never exit 1, which is kept for internal faults. An out-of-range flag
-and a missing file must exit 2.
+exit 0, or exit 2 with an `error:` line, no traceback and no file
+written; it must never exit 1, which is kept for internal faults. An
+out-of-range flag and a missing file must exit 2.
 """
 
 import contextlib
@@ -175,6 +175,7 @@ def check_contract(data, valid, argv, flags=()):
         assert code == 2, f"{kind} exited 0"
     if code == 2:
         assert any(line.startswith("error: ") for line in err.splitlines()), err
+        assert "Traceback" not in err, err
         assert written == [], f"exit 2 after writing {written}: {err}"
 
 

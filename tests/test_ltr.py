@@ -823,16 +823,11 @@ def test_fold_tasks_get_an_index_and_never_pickle_a_feature_row(monkeypatch):
     assert ltr._fold_inputs is None  # both runs let go of the table
 
 
-def test_folds_fork_only_on_linux_from_python_3_11(monkeypatch):
-    # before 3.11 the executor forks workers while its manager thread runs
+def test_folds_fork_only_on_linux(monkeypatch):
     monkeypatch.setattr(ltr, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(sys, "platform", "linux")
-    monkeypatch.setattr(sys, "version_info", (3, 11, 0))
     assert ltr._fold_workers(5) == 5
     assert ltr._fold_workers(12) == 8
-    monkeypatch.setattr(sys, "version_info", (3, 10, 14))
-    assert ltr._fold_workers(5) == 1
-    monkeypatch.setattr(sys, "version_info", (3, 12, 0))
     monkeypatch.setattr(sys, "platform", "darwin")
     assert ltr._fold_workers(5) == 1
 

@@ -22,8 +22,6 @@ from headingrank.semvec import (
     EntityMention,
     EntityStats,
     GazetteerLinker,
-    LinkerError,
-    LinkerUnavailableError,
     build_entity_stats,
     cosine,
     entity_vector,
@@ -174,8 +172,6 @@ def test_linker_case_and_punctuation_insensitive():
 
 def test_linker_no_entities_is_empty_not_error():
     assert GazetteerLinker(NYC_GAZ).link("nothing to see here") == []
-    # "No linker" is its own error, still catchable as a linker failure.
-    assert isinstance(LinkerUnavailableError("x"), LinkerError)
 
 
 def test_linker_deterministic():

@@ -120,7 +120,7 @@ def _sum_fed_floats() -> list[str]:
                          ids=lambda m: m.__name__)
 def test_float_sums_add_left_to_right_under_a_compensating_sum(monkeypatch, module):
     # From Python 3.12 the builtin sum compensates, so a float sum written
-    # with it would give other bits there than under 3.10 and 3.11.
+    # with it would give other bits there than under 3.11.
     expected = _sum_fed_floats()
     monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     assert _sum_fed_floats() == expected
