@@ -9,6 +9,15 @@ UnicodeDecodeError; any other exception, a plain ValueError included,
 exits 1 and prints its traceback after its one-line message. Every
 random choice in a command is derived from its --seed, so rerunning
 with equal inputs produces byte-identical output files.
+
+run and pipeline share one load-and-check path and one scoring loop.
+The loader, _load, reads and checks what they score with: the scorers
+and their parameters, the corpus, the token config, the folds, the
+resources, the index and the queries, sorted once by id. The executor
+it returns yields each scorer's RunFile in scorer order, over each
+query's candidate pool or, without pools, over the whole collection to
+depth --k; run is its one-scorer case. pipeline raises every InputError
+in one block, before it makes its out-dir.
 """
 
 from __future__ import annotations
@@ -17,8 +26,9 @@ import argparse
 import logging
 import sys
 import traceback
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .corpus import (Corpus, FoldAssignment, HeadingQuery, Qrels, all_queries,
@@ -30,9 +40,8 @@ from .evaluation import (MetricsReport, RunFile, evaluate_run, format_metrics,
                          format_p_value, paired_t_test, read_run, run_from_rankings,
                          write_metrics, write_run)
 from .expansion import build_heading_support
-from .index import (Index, Ranking, build_index, index_fingerprint, load_index,
-                    save_index)
-from .ltr import CaConfig, FeatureTable, assemble_feature_table, cross_validate, save_model
+from .index import Index, build_index, index_fingerprint, load_index, save_index
+from .ltr import CaConfig, assemble_feature_table, cross_validate, save_model
 from .methods import MethodEngine, MethodParams, VALID_COMBINATIONS
 from .semvec import (CachingLinker, build_entity_stats, load_embeddings,
                      load_entity_stats, load_gazetteer)
@@ -49,17 +58,6 @@ def _token_config(args: argparse.Namespace) -> TokenPipelineConfig:
     if path is None:
         return DEFAULT_CONFIG
     return TokenPipelineConfig(stopwords=load_stopwords(path))
-
-
-def _method_params(args: argparse.Namespace, method: str,
-                   expansion: str) -> MethodParams:
-    return MethodParams(
-        method=method, expansion=expansion,
-        k1=args.k1, b=args.b, mu=args.mu, lam=args.lam,
-        fb_docs=args.fb_docs, fb_terms=args.fb_terms,
-        fb_entities=args.fb_entities,
-        rocchio_passages=args.rocchio_passages,
-    )
 
 
 def _load_resources(args: argparse.Namespace, corpus: Corpus, texts: Mapping[str, str],
@@ -91,14 +89,6 @@ def _load_resources(args: argparse.Namespace, corpus: Corpus, texts: Mapping[str
     if any(params.expansion == "rocchio" for _, params in scorers):
         res["support"] = build_heading_support(corpus, folds)
     return res
-
-
-def _rank_queries(engine: MethodEngine, queries: Sequence[HeadingQuery],
-                  candidates: Mapping[str, CandidateSet] | None,
-                  k: int) -> list[Ranking]:
-    return [engine.rank(q, k=k, candidates=None if candidates is None
-                        else candidates[q.query_id].paragraph_ids)
-            for q in sorted(queries, key=lambda q: q.query_id)]
 
 
 def _validate_candidates(pools: Mapping[str, Iterable[str]], ix: Index,
@@ -181,6 +171,53 @@ def _corpus_index(args: argparse.Namespace, texts: Mapping[str, str],
     return ix
 
 
+def _load(args: argparse.Namespace, specs: Sequence[str], folds_needed: bool) -> tuple[
+        Corpus, Index, list[HeadingQuery], FoldAssignment | None,
+        Callable[..., Iterator[RunFile]]]:
+    """Read and check what run and pipeline score with.
+
+    specs name the scorers, "method" or "method+expansion". Returns the
+    corpus, its index, its queries in ascending id, the page folds (None
+    unless folds_needed or a scorer is Rocchio) and the executor bound to
+    the scorers and their resources.
+    """
+    scorers = []
+    for spec in specs:
+        method, _, expansion = spec.partition("+")
+        scorers.append((spec, MethodParams(
+            method=method.strip(), expansion=expansion.strip() or "none",
+            k1=args.k1, b=args.b, mu=args.mu, lam=args.lam,
+            fb_docs=args.fb_docs, fb_terms=args.fb_terms,
+            fb_entities=args.fb_entities, rocchio_passages=args.rocchio_passages)))
+    if len(set(specs)) != len(specs):
+        raise InputError("duplicate scorer in --scorers")
+    corpus = _load_corpus(args.corpus)
+    cfg = _token_config(args)
+    folds = (assign_folds(corpus, args.ltr_folds, args.seed)
+             if folds_needed or any(p.expansion == "rocchio" for _, p in scorers)
+             else None)
+    texts = _texts(corpus)
+    res = _load_resources(args, corpus, texts, folds, scorers)
+    ix = _corpus_index(args, texts, cfg)
+    queries = sorted(all_queries(corpus, cfg), key=lambda q: q.query_id)
+    return corpus, ix, queries, folds, partial(_execute, ix, texts, scorers, res)
+
+
+def _execute(ix: Index, texts: Mapping[str, str],
+             scorers: Sequence[tuple[str, MethodParams]], res: Mapping[str, object],
+             queries: Sequence[HeadingQuery], pools: Mapping[str, CandidateSet] | None,
+             k: int | None = None) -> Iterator[RunFile]:
+    """Each scorer's RunFile, in scorer order: every query ranked over its
+    candidate pool, or over the whole collection to depth k when pools
+    is None."""
+    for name, params in scorers:
+        engine = MethodEngine(ix, texts, params=params, **res)
+        yield run_from_rankings(name, [
+            engine.rank(q, k=k, candidates=None if pools is None
+                        else pools[q.query_id].paragraph_ids)
+            for q in queries])
+
+
 # --- subcommands --------------------------------------------------------
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -212,35 +249,22 @@ def cmd_env(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     _check_at_least_one("--k", args.k)
-    corpus = _load_corpus(args.corpus)
-    texts = _texts(corpus)
-    cfg = _token_config(args)
-    ix = _corpus_index(args, texts, cfg)
-    queries = all_queries(corpus, cfg)
-    params = _method_params(args, args.method, args.expansion)
-    scorer = (args.method if args.expansion == "none"
-              else f"{args.method}+{args.expansion}")
-    folds = (assign_folds(corpus, args.ltr_folds, args.seed)
-             if params.expansion == "rocchio" else None)
-    res = _load_resources(args, corpus, texts, folds, [(scorer, params)])
-    engine = MethodEngine(ix, texts, params=params, **res)
-
-    candidates = None
+    spec = args.method if args.expansion == "none" else f"{args.method}+{args.expansion}"
+    _, ix, queries, _, execute = _load(args, [spec], folds_needed=False)
+    pools = None
     skipped = 0
     if args.candidates:
-        candidates = read_candidates(args.candidates)
-        _validate_candidates({q: cs.paragraph_ids for q, cs in candidates.items()},
+        pools = read_candidates(args.candidates)
+        _validate_candidates({q: cs.paragraph_ids for q, cs in pools.items()},
                              ix, {q.query_id for q in queries}, args.candidates)
-        before = len(queries)
-        queries = [q for q in queries if q.query_id in candidates]
-        skipped = before - len(queries)
+        kept = [q for q in queries if q.query_id in pools]
+        skipped, queries = len(queries) - len(kept), kept
 
-    rankings = _rank_queries(engine, queries, candidates, args.k)
     name = args.run_name or f"{args.method}+{args.expansion}"
-    run = run_from_rankings(name, rankings)
+    run = RunFile(name, next(execute(queries, pools, args.k)).rankings)
     write_run(run, args.out)
     note = f", {skipped} corpus queries absent from the candidate file" if skipped else ""
-    print(f"wrote run {name!r}: {len(rankings)} queries -> {args.out}{note}")
+    print(f"wrote run {name!r}: {len(run.rankings)} queries -> {args.out}{note}")
     return 0
 
 
@@ -282,44 +306,30 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_scorers(args: argparse.Namespace) -> list[tuple[str, MethodParams]]:
-    """(feature name, method parameters) pairs from --scorers."""
+def _scorer_specs(args: argparse.Namespace) -> list[str]:
+    """The scorers of --scorers; by default bm25, tfidf-cs and each
+    method whose resources were given."""
     if args.scorers:
-        specs = [s.strip() for s in args.scorers.split(",") if s.strip()]
-    else:
-        specs = ["bm25", "tfidf-cs"]
-        if args.embeddings:
-            specs.append("glove-cs")
-        if args.embeddings and args.gazetteer:
-            specs.append("entity-cs")
-    out: list[tuple[str, MethodParams]] = []
-    for spec in specs:
-        method, _, expansion = spec.partition("+")
-        out.append((spec, _method_params(args, method.strip(),
-                                         expansion.strip() or "none")))
-    names = [n for n, _ in out]
-    if len(set(names)) != len(names):
-        raise InputError("duplicate scorer in --scorers")
-    return out
+        return [s.strip() for s in args.scorers.split(",") if s.strip()]
+    specs = ["bm25", "tfidf-cs"]
+    if args.embeddings:
+        specs.append("glove-cs")
+    if args.embeddings and args.gazetteer:
+        specs.append("entity-cs")
+    return specs
 
 
-def _score_features(args: argparse.Namespace, out_dir: Path) -> tuple[
-        FeatureTable, list[str], Qrels, FoldAssignment, dict[str, MetricsReport]]:
-    """Check the inputs, write qrels, candidates and scorer runs, return what
-    fusion reads; the corpus, index and engines die before fold workers fork."""
+def cmd_pipeline(args: argparse.Namespace) -> int:
+    # every parameter and input is checked before the out-dir is made
+    _check_alpha(args.alpha)
+    ca_cfg = CaConfig(seed=derive_seed(args.seed, "ltr"),
+                      restarts=args.restarts, iterations=args.iterations)
     _check_at_least_one("--candidate-k", args.candidate_k)
-    corpus = _load_corpus(args.corpus)
-    folds = assign_folds(corpus, args.ltr_folds, args.seed)
-    scorers = _parse_scorers(args)
-    texts = _texts(corpus)
-    res = _load_resources(args, corpus, texts, folds, scorers)
-    cfg = _token_config(args)
-    ix = _corpus_index(args, texts, cfg)
-    queries = sorted(all_queries(corpus, cfg), key=lambda q: q.query_id)
-    feature_names = [name for name, _ in scorers]
-    external = None
-    if args.external_scores:
-        external = read_run(args.external_scores)
+    specs = _scorer_specs(args)
+    corpus, ix, queries, folds, execute = _load(args, specs, folds_needed=True)
+    feature_names = list(specs)
+    external = read_run(args.external_scores) if args.external_scores else None
+    if external is not None:
         if external.name in feature_names:
             raise InputError(
                 f"external run name {external.name!r} collides with a scorer")
@@ -335,38 +345,28 @@ def _score_features(args: argparse.Namespace, out_dir: Path) -> tuple[
                 f"--without {args.without!r} is not one of {feature_names}")
         if len(feature_names) < 2:
             raise InputError("cannot ablate the only feature")
-
     qrels = derive_qrels(corpus)
-    candidates = generate_candidates(ix, queries, k=args.candidate_k)
-    with_rows = ({q for q, cs in candidates.items() if cs.paragraph_ids}
-                 if scorers else set())
+    pools = generate_candidates(ix, queries, k=args.candidate_k)
+    with_rows = {q for q, cs in pools.items() if cs.paragraph_ids} if specs else set()
     if external is not None:
         with_rows.update(q for q, r in external.rankings.items() if r.items)
     _check_fold_training(queries, qrels, folds, with_rows)
 
-    write_qrels(qrels, str(out_dir / "qrels.txt"))
-    write_candidates(candidates, str(out_dir / "candidates.tsv"))
-
-    runs: list[RunFile] = []
-    reports_by_name: dict[str, MetricsReport] = {}
-    for name, params in scorers:
-        engine = MethodEngine(ix, texts, params=params, **res)
-        runs.append(run_from_rankings(name, _rank_queries(
-            engine, queries, candidates, args.candidate_k)))
-        reports_by_name[name] = _write_scored(runs[-1], qrels, out_dir)
-    if external is not None:
-        runs.append(external)
-    return assemble_feature_table(runs), feature_names, qrels, folds, reports_by_name
-
-
-def cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # every parameter and input is checked before the first file is written
-    _check_alpha(args.alpha)
-    ca_cfg = CaConfig(seed=derive_seed(args.seed, "ltr"),
-                      restarts=args.restarts, iterations=args.iterations)
-    table, feature_names, qrels, folds, reports_by_name = _score_features(args, out_dir)
+    write_qrels(qrels, str(out_dir / "qrels.txt"))
+    write_candidates(pools, str(out_dir / "candidates.tsv"))
+    scored = [(run, _write_scored(run, qrels, out_dir)) for run in execute(queries, pools)]
+    # The fold workers that cross_validate forks must not inherit the
+    # scoring stage. Freeing it before the table is built also keeps the
+    # table's small objects out of the holes the last engine leaves, where
+    # they would hold more allocator arenas in memory (123 instead of 53
+    # at the fork of a 200-page pipeline).
+    del corpus, ix, queries, with_rows, pools, execute
+    table = assemble_feature_table([run for run, _ in scored]
+                                   + ([] if external is None else [external]))
+    reports_by_name = {run.name: report for run, report in scored}
+    del scored, external
     merged, fold_reports = cross_validate(table, qrels, feature_names,
                                           k=args.ltr_folds, cfg=ca_cfg,
                                           folds=folds)
@@ -472,10 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="rank paragraphs for every heading query")
     p.add_argument("--corpus", required=True)
     p.add_argument("--index", help="saved index (default: build in memory)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--candidates", help="restrict scoring to this candidate file")
-    group.add_argument("--env", dest="candidates",
-                       help="alias for --candidates (environment file)")
+    p.add_argument("--candidates", help="restrict scoring to this candidate file")
     p.add_argument("--method", default="bm25",
                    choices=sorted(VALID_COMBINATIONS))
     p.add_argument("--expansion", default="none",

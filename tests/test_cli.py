@@ -7,6 +7,7 @@ import re
 import runpy
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -653,6 +654,33 @@ def test_pipeline_fuses_after_the_scoring_stage_is_freed(corpus_path, tmp_path,
     assert seen == [before, before]
 
 
+def test_pipeline_releases_the_index_and_engines_before_the_folds_fork(
+        fixture_dir, tmp_path, monkeypatch):
+    made, dead_at_fork = [], []
+
+    def keep(make):
+        def spy(*args, **kwargs):
+            obj = make(*args, **kwargs)
+            made.append(weakref.ref(obj))
+            return obj
+        return spy
+
+    def cross_validate(*args, **kwargs):
+        gc.collect()
+        dead_at_fork.append([ref() is None for ref in made])
+        return ltr.cross_validate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_index", keep(cli.build_index))
+    monkeypatch.setattr(cli, "MethodEngine", keep(cli.MethodEngine))
+    monkeypatch.setattr(cli, "cross_validate", cross_validate)
+    assert run_cli("pipeline", *_fixture_args(fixture_dir), "--out-dir", tmp_path / "exp",
+                   "--scorers", "bm25,tfidf-cs+rocchio,glove-cs,entity-cs",
+                   "--without", "bm25", "--ltr-folds", "2", "--restarts", "1",
+                   "--iterations", "2") == 0
+    assert len(made) == 5  # the index and four engines
+    assert dead_at_fork == [[True] * 5] * 2
+
+
 @needs_fork
 def test_pipeline_dead_fold_worker_exits_1(corpus_path, tmp_path, monkeypatch,
                                           capsys):
@@ -722,7 +750,7 @@ def test_pipeline_rejects_external_rows_outside_corpus(corpus_path, tmp_path,
     assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
                    "--external-scores", ext, *PIPELINE_ARGS) == 2
     assert message in capsys.readouterr().err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
@@ -743,7 +771,7 @@ def test_pipeline_rejects_non_finite_external_scores(corpus_path, tmp_path,
                    "--external-scores", ext, *PIPELINE_ARGS) == 2
     assert capsys.readouterr().err.startswith(
         f"error: row {first}: score must be finite, got {score!r}")
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--restarts=0", "--iterations=0",
@@ -757,7 +785,7 @@ def test_pipeline_rejects_bad_parameters_before_writing(corpus_path, tmp_path,
     assert run_cli("pipeline", "--corpus", corpus_path, "--out-dir", out_dir,
                    *PIPELINE_ARGS, flag) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flow, lakes, message", [
@@ -784,7 +812,7 @@ def test_pipeline_rejects_a_fold_it_cannot_train_before_writing(
     err = capsys.readouterr().err
     assert err.startswith("error: --ltr-folds 2: no training query of fold ")
     assert err.rstrip().endswith(message)
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("scorer, given, missing", [
@@ -799,7 +827,7 @@ def test_pipeline_rejects_missing_resource_before_writing(
                    "--scorers", f"bm25,{scorer}", f"--{given}", paths[given],
                    *PIPELINE_ARGS) == 2
     assert f"{scorer} requires --{missing}" in capsys.readouterr().err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("scorer, flag, content", [
@@ -824,7 +852,7 @@ def test_pipeline_rejects_bad_resource_file_before_writing(
                    "--scorers", f"bm25,{scorer}", *resource_args,
                    *PIPELINE_ARGS) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("content, message", BAD_ENTITY_STATS)
@@ -845,7 +873,10 @@ def test_entity_stats_without_an_idf_exit_2_before_writing(
         argv = ("run", "--method", "entity-cs", "--out", out_dir / "run.txt")
     assert run_cli(*argv, "--corpus", corpus_path, *resources) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
-    assert list(out_dir.iterdir()) == []
+    if command == "pipeline":
+        assert not out_dir.exists()
+    else:
+        assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["index", "env", "run", "pipeline"])
