@@ -18,6 +18,9 @@ it returns yields each scorer's RunFile in scorer order, over each
 query's candidate pool or, without pools, over the whole collection to
 depth --k; run is its one-scorer case. pipeline raises every InputError
 in one block, before it makes its out-dir.
+
+Importing this module loads no numpy, which semvec and ltr import on
+first use: index, env, eval, compare and a lexical run never pay for it.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ each coordinate in turn tries a fixed family of step moves and keeps
 the best strictly improving one, restarted from several deterministic
 and seeded starting points. Training trials and test folds are both
 scored by linear_scores, in feature order and with no BLAS call.
+
+Each function that computes with arrays imports numpy itself, so that
+a command that fuses no runs never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .corpus import FoldAssignment, Qrels, balanced_folds, query_page
 from .evaluation import RunFile
@@ -57,6 +58,7 @@ def linear_scores(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
     from +0.0 by elementwise ops, so with LinearModel.score's bits. A column
     whose weight every trial shares is multiplied once per batch; ±0.0 count
     as equal, since a running sum from +0.0 is never -0.0."""
+    import numpy as np
     trials = np.atleast_2d(weights)
     shared = (trials == trials[0]).all(axis=0).tolist()
     cells = np.shape(columns)[1:]
@@ -87,7 +89,7 @@ class CaConfig:
             raise InputError("step sizes must be positive")
 
 
-class FeatureTable(Mapping[str, np.ndarray]):
+class FeatureTable(Mapping[str, "np.ndarray"]):
     """Every query's feature rows in one read-only (rows, features) matrix:
     table[qid] is a query's contiguous block, a view of the matrix, and
     table.paragraphs[qid] its rows' paragraph ids. rows gives each
@@ -95,6 +97,7 @@ class FeatureTable(Mapping[str, np.ndarray]):
 
     def __init__(self, matrix: np.ndarray, paragraphs: Mapping[str, Sequence[str]],
                  rows: Mapping[str, slice] | None = None):
+        import numpy as np
         self.paragraphs = {q: tuple(pids) for q, pids in paragraphs.items()}
         if rows is None:
             ends = np.cumsum([0, *map(len, self.paragraphs.values())]).tolist()
@@ -120,6 +123,7 @@ class FeatureTable(Mapping[str, np.ndarray]):
 
     def without(self, column: int) -> FeatureTable:
         """A copy of this table less one feature column."""
+        import numpy as np
         return FeatureTable(np.delete(self._matrix, column, axis=1), self.paragraphs, self._rows)
 
 
@@ -127,6 +131,7 @@ def _as_table(table: FeatureTable | Mapping[str, Sequence[FeatureVector]],
               n_features: int) -> FeatureTable:
     """The table, or its FeatureVector rows packed in the order given;
     rejects a row of any query that does not hold n_features values."""
+    import numpy as np
     if not isinstance(table, FeatureTable):
         values = [fv.features for rows in table.values() for fv in rows]
         if widths := {len(v) for v in values} - {n_features}:
@@ -146,6 +151,7 @@ def assemble_feature_table(runs: Sequence[RunFile]) -> FeatureTable:
     [0, 1] within the query; a run with a single score value everywhere
     maps to 0.5, and a paragraph a run never returned gets 0.
     """
+    import numpy as np
     paragraphs = {qid: sorted({pid for run in runs
                                for pid, _ in run.rankings.get(qid, Ranking(qid, ())).items})
                   for qid in sorted({q for run in runs for q in run.rankings})}
@@ -186,6 +192,7 @@ class _PackedQueries:
     """
 
     def __init__(self, table: FeatureTable, qrels: Qrels):
+        import numpy as np
         qids = [q for q in sorted(table) if qrels.relevant(q)]
         if not qids:
             raise ValueError("no training query has a relevant paragraph")
@@ -226,6 +233,7 @@ class _PackedQueries:
         compare at most _MAP_CHUNK_CELLS cells; no trial's arithmetic
         depends on the others in its chunk, so chunking never changes a bit.
         """
+        import numpy as np
         scores = linear_scores(self.columns, np.atleast_2d(weights))
         scores[:, self.pad] = -np.inf
         cells = max(1, len(self._rel_q) * self.pad.shape[1])  # per trial
@@ -236,6 +244,7 @@ class _PackedQueries:
 
     def _chunk_map(self, scores: np.ndarray) -> np.ndarray:
         """MAP of each trial's (queries, rows) scores in a (T, nq, rows) stack."""
+        import numpy as np
         own = scores[:, self._rel_q, self._rel_d][..., None]
         rows = scores[:, self._rel_q]
         ranks = 1 + ((rows > own) | ((rows == own) & self._rel_lower)).sum(axis=-1)
@@ -251,6 +260,7 @@ class _PackedQueries:
 def training_map(model: LinearModel, table: FeatureTable | Mapping[str, Sequence[FeatureVector]],
                  qrels: Qrels) -> float:
     """MAP of a linear model over the queries in the table that have positives."""
+    import numpy as np
     packed = _PackedQueries(_as_table(table, len(model.feature_names)), qrels)
     return packed.mean_ap(np.array(model.weights, dtype=np.float64))
 
@@ -283,6 +293,7 @@ def train_coordinate_ascent(table: FeatureTable | Mapping[str, Sequence[FeatureV
     the same trial vectors. The best start wins, earlier start on ties,
     so retraining on the same data and seed is bit-identical.
     """
+    import numpy as np
     nf = len(feature_names)
     if nf == 0:
         raise ValueError("at least one feature required")

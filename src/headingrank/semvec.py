@@ -25,6 +25,9 @@ A dense dot product adds its elementwise products left to right from
 0.0, like SparseVector.dot and ltr.linear_scores, and a norm is the
 square root of a self-dot. No score goes through BLAS, whose kernel
 (picked per CPU at run time) would choose the order of the additions.
+
+Each function that builds arrays imports numpy itself, so that a
+command that uses no word or entity vectors never loads it.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Protocol, Sequence
-
-import numpy as np
 
 from .index import Index, SparseVector, same_space, tfidf_idf
 from .textproc import TOKEN_RE
@@ -107,6 +108,7 @@ class DenseVector:
         return DenseVector(self.values / c)
 
     def zero(self) -> "DenseVector":
+        import numpy as np
         return DenseVector(np.zeros_like(self.values))
 
 
@@ -127,6 +129,7 @@ class EntityStats:
 
 def load_embeddings(source: str | Iterable[str]) -> EmbeddingStore:
     """Parse `key v1 ... v_dim` lines; dim is fixed by the first line."""
+    import numpy as np
     if isinstance(source, str):
         with open(source, encoding="utf-8") as fh:
             return load_embeddings(list(fh))
@@ -165,6 +168,7 @@ def embedding_sum(weighted: Iterable[tuple[str, float, int]], store: EmbeddingSt
     by the covered mass when that is positive: a text nothing covers
     gives the zero vector, and feedback pairs (mass 0) an undivided sum.
     """
+    import numpy as np
     acc = np.zeros(store.dim, dtype=np.float64)
     covered = 0
     for key, coef, mass in weighted:

@@ -59,10 +59,12 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent.futures"])
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent.futures",
+                                    "numpy"])
 def test_importing_cli_leaves_module_unloaded(module):
-    # only the t-test needs scipy, and only cross-validation starts fold
-    # workers; index, env and run never pay these imports
+    # only the t-test needs scipy, only cross-validation starts fold
+    # workers, and only vectors and fusion need numpy; index, env and
+    # a lexical run never pay these imports
     code = ("import sys, headingrank.cli; "
             f"sys.exit(1 if any(m == {module!r} or m.startswith({module + '.'!r}) "
             "for m in sys.modules) else 0)")
@@ -70,6 +72,22 @@ def test_importing_cli_leaves_module_unloaded(module):
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or f"{module} was imported"
+
+
+def _loaded_after(argvs: list[list[str]], module: str) -> bool:
+    """Run the commands through main() in a fresh interpreter; whether
+    module or a submodule of it was imported by the end."""
+    code = ("import io, sys, contextlib; from headingrank.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            f"sys.exit(3 if any(m == {module!r} or m.startswith({module + '.'!r}) "
+            "for m in sys.modules) else 0)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          capture_output=True, text=True)
+    assert proc.returncode in (0, 3), proc.stderr
+    return proc.returncode == 3
 
 
 def test_pipeline_eval_and_compare_never_import_scipy(tmp_path):
@@ -83,20 +101,38 @@ def test_pipeline_eval_and_compare_never_import_scipy(tmp_path):
         ["compare", "--run-a", str(out / "run-fused.txt"),
          "--run-b", str(out / "run-bm25.txt"), "--qrels", str(out / "qrels.txt")],
     ]
-    code = ("import io, sys, contextlib; from headingrank.cli import main\n"
-            f"for argv in {argvs!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main(argv) == 0, argv\n"
-            "sys.exit(1 if any(m == 'scipy' or m.startswith('scipy.') "
-            "for m in sys.modules) else 0)")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr or "scipy was imported"
+    assert not _loaded_after(argvs, "scipy")
     rows = (out / "significance.txt").read_text(encoding="utf-8").splitlines()[1:]
     assert len(rows) == 2
     # the t-test ran on real differences, so the tail was computed
     assert any(0.0 < float(row.split("\t")[5]) < 1.0 for row in rows), rows
+
+
+def test_lexical_commands_never_import_numpy(tmp_path):
+    # written here, because synth itself imports numpy; five pages for
+    # rocchio's five folds
+    paths = write_fixture(SynthSpec(pages=5, seed=5), str(tmp_path / "fx"))
+    corpus, index = paths["corpus"], str(tmp_path / "index.json")
+    test_env, qrels = str(tmp_path / "test.tsv"), str(tmp_path / "qrels.txt")
+    argvs = [["index", "--corpus", corpus, "--out", index],
+             ["env", "--corpus", corpus, "--mode", "train",
+              "--out", str(tmp_path / "train.tsv")],
+             ["env", "--corpus", corpus, "--mode", "test", "--out", test_env,
+              "--qrels-out", qrels]]
+    runs = []
+    for method, expansion in (("bm25", "none"), ("bm25", "rm1"), ("tfidf-cs", "none"),
+                              ("tfidf-cs", "rm1"), ("tfidf-cs", "rocchio")):
+        runs.append(str(tmp_path / f"run-{method}-{expansion}.txt"))
+        argvs.append(["run", "--corpus", corpus, "--index", index, "--method", method,
+                      "--expansion", expansion, "--out", runs[-1]])
+    argvs[-1] += ["--candidates", test_env]
+    argvs += [["eval", "--run", runs[0], "--qrels", qrels],
+              ["compare", "--run-a", runs[0], "--run-b", runs[2], "--qrels", qrels]]
+    assert not _loaded_after(argvs, "numpy")
+    # the check sees numpy when a command does load it
+    assert _loaded_after([["run", "--corpus", corpus, "--index", index, "--method", "glove-cs",
+                           "--embeddings", paths["embeddings"],
+                           "--out", str(tmp_path / "run-glove.txt")]], "numpy")
 
 
 # --- exit codes ---------------------------------------------------------

@@ -502,3 +502,73 @@ def test_no_module_makes_a_blas_call():
     assert {name: uses for name, uses in found.items() if uses} == {}
     planted = "import numpy as np\nx = np.dot(a, b) + np.linalg.norm(a)\ny = a @ b\n"
     assert len(_blas_uses(ast.parse(planted))) == 3
+
+
+def _scope(body: list[ast.stmt]) -> list[ast.AST]:
+    """The nodes one scope runs: its statements less the bodies of the
+    functions and classes defined in it, and less annotations, which
+    `from __future__ import annotations` never evaluates."""
+    nodes, stack = [], list(body)
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += [*node.decorator_list, *node.args.defaults,
+                      *filter(None, node.args.kw_defaults)]
+        elif isinstance(node, ast.ClassDef):
+            stack += [*node.decorator_list, *node.bases, *node.keywords]
+        elif isinstance(node, ast.AnnAssign):
+            stack += filter(None, (node.target, node.value))
+        elif not isinstance(node, ast.arg):
+            stack += ast.iter_child_nodes(node)
+    return nodes
+
+
+def _imports_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def _numpy_faults(scope: ast.AST, name: str = "module", bound: bool = False,
+                  at_import: bool = True) -> list[str]:
+    """Module-level numpy imports, and reads of np in a scope where
+    neither it nor a scope around it binds np."""
+    nodes = _scope(scope.body)
+    binds = bound or any(
+        isinstance(n, ast.Import) and any((a.asname or a.name) == "np" for a in n.names)
+        or isinstance(n, ast.Name) and n.id == "np" and isinstance(n.ctx, ast.Store)
+        for n in nodes)
+    faults = [f"line {n.lineno}: {name} imports numpy" for n in nodes
+              if at_import and _imports_numpy(n)]
+    faults += [f"line {n.lineno}: {name} reads np without binding it" for n in nodes
+               if not binds and isinstance(n, ast.Name) and n.id == "np"
+               and isinstance(n.ctx, ast.Load)]
+    for n in nodes:
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = n.name if name == "module" else f"{name}.{n.name}"
+            faults += _numpy_faults(n, inner, binds, at_import and isinstance(n, ast.ClassDef))
+    return faults
+
+
+def test_only_synth_imports_numpy_at_module_level():
+    # the CLI loads numpy on first use; a function that reads np without
+    # binding it fails with NameError only on the path that reaches it
+    modules = sorted(Path(headingrank.__file__).parent.glob("*.py"))
+    found = {m.name: _numpy_faults(ast.parse(m.read_text(encoding="utf-8")))
+             for m in modules}
+    assert [f.split(": ", 1)[1] for f in found.pop("synth.py")] == ["module imports numpy"]
+    assert {name: faults for name, faults in found.items() if faults} == {}
+    planted = ("from __future__ import annotations\n"
+               "def zero(v: np.ndarray) -> np.ndarray:\n"
+               "    return np.zeros_like(v)\n"
+               "def ones(n):\n"
+               "    import numpy as np\n"
+               "    return (lambda: np.ones(n))()\n"
+               "class Table:\n"
+               "    from numpy import float64\n"
+               "    def without(self, c):\n"
+               "        return np.delete(self.m, c)\n")
+    assert set(_numpy_faults(ast.parse(planted))) == {
+        "line 3: zero reads np without binding it", "line 8: Table imports numpy",
+        "line 10: Table.without reads np without binding it"}
