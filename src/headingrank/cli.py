@@ -45,7 +45,7 @@ from .evaluation import (MetricsReport, RunFile, evaluate_run, format_metrics,
 from .expansion import build_heading_support
 from .index import Index, build_index, index_fingerprint, load_index, save_index
 from .ltr import CaConfig, assemble_feature_table, cross_validate, save_model
-from .methods import MethodEngine, MethodParams, VALID_COMBINATIONS
+from .methods import EXPANSIONS, MethodEngine, MethodParams, VALID_COMBINATIONS
 from .semvec import (CachingLinker, build_entity_stats, load_embeddings,
                      load_entity_stats, load_gazetteer)
 from .textproc import DEFAULT_CONFIG, TokenPipelineConfig, load_stopwords
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="bm25",
                    choices=sorted(VALID_COMBINATIONS))
     p.add_argument("--expansion", default="none",
-                   choices=("none", "rm1", "ent-rm1", "rocchio"))
+                   choices=EXPANSIONS)
     _add_method_flags(p)
     p.add_argument("--ltr-folds", type=int, default=5,
                    help="folds used to scope heading support for rocchio")

@@ -191,8 +191,6 @@ def build_test_env(corpus: Corpus, seed: int = 0) -> dict[str, CandidateSet]:
 def generate_candidates(ix: Index, queries: Sequence[HeadingQuery], k: int = 100,
                         params: Bm25Params = Bm25Params()) -> dict[str, CandidateSet]:
     """First-stage pools: top-k paragraphs by query-only bm25."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     sets: dict[str, CandidateSet] = {}
     for query in queries:
         scores = bm25_scores(ix, [(t, 1.0) for t in query.terms],

@@ -108,7 +108,7 @@ def _relevance_model(ix: Index, query: HeadingQuery, fb_docs: int, keep: int,
         p_q = posterior[pid]
         for key, freq in evidence(pid):
             weights[key] = weights.get(key, 0.0) + freq * p_q
-    top = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[:keep]
+    top = rank_items("", weights, keep).items
     total = ordered_sum(w for _, w in top)
     return [(key, w / total) for key, w in top]
 

@@ -14,7 +14,8 @@ base anyway. Ties in rankings always break by ascending paragraph id.
 Whatever does not depend on the paragraph is computed once per query,
 not once per (query, paragraph) pair: bm25_scores looks up each term's
 idf once per pool, and lm_dirichlet_scores computes each term's
-smoothing mass once per pool.
+smoothing mass once per pool. Each reads a paragraph's term counts
+once, and that read raises KeyError for an id the index lacks.
 A SparseVector computes its norm once, on first use, and keeps it, and
 an Index builds its per-paragraph term counts (doc_tf) the same way, so
 building and saving an index never pays for them.
@@ -162,10 +163,6 @@ class Index:
     def __contains__(self, paragraph_id: str) -> bool:
         return paragraph_id in self.doc_lengths
 
-    def require(self, paragraph_id: str) -> None:
-        if paragraph_id not in self.doc_lengths:
-            raise KeyError(f"unknown paragraph id {paragraph_id!r}")
-
 
 def index_fingerprint(paragraphs: Mapping[str, str],
                       cfg: TokenPipelineConfig) -> dict[str, str]:
@@ -245,7 +242,6 @@ def bm25_scores(ix: Index, weighted_terms: Iterable[tuple[str, float]],
     terms = [(t, w, bm25_idf(ix, t)) for t, w in weighted_terms]
     scores: dict[str, float] = {}
     for pid in paragraph_ids:
-        ix.require(pid)
         doc = ix.doc_tf[pid]
         score = 0.0
         # a tokenless paragraph matches no term, and avg_doc_len may be 0
@@ -296,7 +292,6 @@ def lm_dirichlet_scores(ix: Index, q: Sequence[str], paragraph_ids: Iterable[str
         smoothing.append((t, mu * cf / ix.collection_len))
     scores: dict[str, float] = {}
     for pid in paragraph_ids:
-        ix.require(pid)
         doc = ix.doc_tf[pid]
         denominator = ix.doc_lengths[pid] + mu
         score = 0.0
@@ -321,8 +316,6 @@ def matching_paragraphs(ix: Index, terms: Sequence[str]) -> set[str]:
 def retrieve_topk(ix: Index, scorer: Scorer, q: Sequence[str], k: int,
                   query_id: str = "") -> Ranking:
     """Top-k among paragraphs matching >=1 query term (disjunctive pool)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     scored = {pid: scorer(q, pid) for pid in matching_paragraphs(ix, q)}
     return rank_items(query_id, scored, k)
 

@@ -350,11 +350,8 @@ class FoldReport:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on, as the platform reports them."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    """CPUs this process may run on; _fold_workers calls it only on Linux."""
+    return len(os.sched_getaffinity(0))
 
 
 # The running cross_validate's table, qrels, feature names, each fold's

@@ -5,7 +5,8 @@ semantic resources the chosen method needs, then turns heading queries
 into rankings either over the full collection or over a fixed
 candidate pool. Combining a method with an expansion it cannot express
 (bm25 has no vector space for Rocchio, entity feedback only lives in
-the entity space) is rejected up front.
+the entity space) is rejected up front, as is an engine that lacks a
+resource its pair needs: embeddings, linker, entity stats, Rocchio support.
 
 Relevance-model feedback reaches the scorer one way, as the (term or
 entity, weight) pairs of ExpandedQuery.feedback: bm25 weights its terms
@@ -14,10 +15,9 @@ with them, and a vector method sums them into its space with one idf sum.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import HeadingQuery
 from .expansion import (ExpandedQuery, HeadingSupportIndex, mix_vectors,
@@ -27,8 +27,6 @@ from .index import (Bm25Params, Index, Ranking, bm25_scores, matching_paragraphs
 from .semvec import (EmbeddingStore, EntityLinker, EntityStats, Vector, cosine,
                      embedding_sum, entity_vector, link_or_warn, text_vector)
 from .utils import InputError
-
-log = logging.getLogger(__name__)
 
 METHODS = ("bm25", "tfidf-cs", "glove-cs", "entity-cs")
 EXPANSIONS = ("none", "rm1", "ent-rm1", "rocchio")
@@ -43,10 +41,9 @@ VALID_COMBINATIONS: dict[str, frozenset[str]] = {
 
 class InvalidCombinationError(InputError):
     def __init__(self, method: str, expansion: str):
-        valid = ", ".join(sorted(VALID_COMBINATIONS.get(method, frozenset())))
-        super().__init__(
-            f"expansion {expansion!r} cannot be applied to method {method!r}"
-            + (f" (valid: {valid})" if valid else ""))
+        valid = ", ".join(sorted(VALID_COMBINATIONS[method]))
+        super().__init__(f"expansion {expansion!r} cannot be applied to "
+                         f"method {method!r} (valid: {valid})")
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,7 @@ class MethodEngine:
     Document representations are cached per paragraph, and each vector
     keeps its norm, so reranking thousands of queries over the same
     collection stays cheap. Per-query terms are computed once per query:
-    the mixed query vector and its norm, or each BM25 term's idf.
+    the mixed query vector and its norm, or each BM25 term's weight and idf.
     """
 
     def __init__(self, ix: Index, texts: Mapping[str, str],
@@ -126,8 +123,7 @@ class MethodEngine:
         if p.method == "entity-cs" and self.entity_stats is None:
             raise ValueError("method 'entity-cs' requires entity link statistics")
         if p.expansion == "rocchio" and self.support is None:
-            log.warning("no heading support index supplied; "
-                        "rocchio falls back to query-only ranking")
+            raise ValueError("expansion 'rocchio' requires a heading support index")
 
     # --- document representations -------------------------------------
 
@@ -159,8 +155,6 @@ class MethodEngine:
         pool), ent-rm1 entities or Rocchio's centroid; or unexpanded."""
         p = self.params
         if p.expansion == "rocchio":
-            if self.support is None:
-                return ExpandedQuery(original=query)
             return rocchio_expand(query, self.support, self.doc_vector,
                                   max_passages=p.rocchio_passages, lam=p.lam)
         feedback: tuple[tuple[str, float], ...] = ()
@@ -204,20 +198,23 @@ class MethodEngine:
         """Rank the candidate pool (or the whole collection) for a query.
 
         Full-collection mode pools every paragraph that shares a term
-        with the query or its expansion; candidate mode scores exactly
-        the ids given, unknown ids rejected.
+        with the query or its expansion (for bm25, a term of positive
+        weight); candidate mode scores exactly the ids given, and an id
+        the index lacks raises KeyError where it is scored.
         """
         eq = self.expand(query)
-        if candidates is not None:
-            for pid in candidates:
-                self.ix.require(pid)
-            pool: Sequence[str] | set[str] = list(candidates)
-        else:
-            pool = self._match_pool(eq)
+        pool: Iterable[str] | None = candidates
         if self.params.method == "bm25":
-            scored = bm25_scores(self.ix, mixed_term_weights(eq).items(), pool,
+            weights = mixed_term_weights(eq)
+            if pool is None:
+                positive = [t for t, w in weights.items() if w > 0.0]
+                pool = matching_paragraphs(self.ix, positive)
+            scored = bm25_scores(self.ix, weights.items(), pool,
                                  self.params.bm25_params())
         else:
+            if pool is None:
+                widen = eq.match_terms if eq.interpolation < 1.0 else ()
+                pool = matching_paragraphs(self.ix, query.terms + widen)
             query_vector = self._vector(query.terms, query.raw_text, "query",
                                         query.query_id)
             mixed = mix_vectors(query_vector, self._feedback_vector(eq),
@@ -225,11 +222,3 @@ class MethodEngine:
             scored = {pid: cosine(mixed, self.doc_vector(pid)) for pid in pool}
         return rank_items(query.query_id, scored,
                           k if candidates is None else None)
-
-    def _match_pool(self, eq: ExpandedQuery) -> set[str]:
-        terms = list(eq.original.terms)
-        if eq.interpolation < 1.0:
-            terms.extend(eq.match_terms)
-        if self.params.method == "bm25":
-            terms = [t for t, w in mixed_term_weights(eq).items() if w > 0.0]
-        return matching_paragraphs(self.ix, terms)

@@ -1,6 +1,5 @@
 """Scorer/expansion engine: validity matrix, resources, ranking modes."""
 
-import logging
 import random
 
 import numpy as np
@@ -155,13 +154,9 @@ def test_ent_rm1_only_pairs_with_entity_method():
         MethodParams(method="bm25", expansion="ent-rm1")
 
 
-def test_rocchio_without_support_warns_and_falls_back(ix, resources, caplog):
-    with caplog.at_level(logging.WARNING):
-        eng = engine(ix, resources, "tfidf-cs", "rocchio", support=None)
-    assert any("falls back to query-only" in r.message for r in caplog.records)
-    plain = engine(ix, resources, "tfidf-cs", "none")
-    q = hq(["alpha", "beta"])
-    assert eng.rank(q).items == plain.rank(q).items
+def test_rocchio_requires_support(ix, resources):
+    with pytest.raises(ValueError, match="heading support index"):
+        engine(ix, resources, "tfidf-cs", "rocchio", support=None)
 
 
 # --- ranking behavior -----------------------------------------------------------
@@ -233,8 +228,9 @@ def test_candidate_mode_scores_exactly_the_pool(ix, resources):
     assert ranking.paragraph_ids()[0] != "d4"
 
 
-def test_candidate_mode_rejects_unknown_ids(ix, resources):
-    eng = engine(ix, resources, "bm25", "none")
+@pytest.mark.parametrize("method", METHODS)
+def test_candidate_mode_rejects_unknown_ids(ix, resources, method):
+    eng = engine(ix, resources, method, "none")
     with pytest.raises(KeyError):
         eng.rank(hq(["alpha"]), candidates=["d1", "ghost"])
 
