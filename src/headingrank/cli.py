@@ -439,8 +439,10 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
                    help="weight on the original query when mixing in feedback")
     p.add_argument("--mu", type=float, default=1500.0,
                    help="Dirichlet smoothing for feedback retrieval")
-    p.add_argument("--k1", type=float, default=1.2, help="bm25 k1")
-    p.add_argument("--b", type=float, default=0.75, help="bm25 b")
+    p.add_argument("--k1", type=float, default=1.2,
+                   help="bm25 k1 of the bm25 scorers; pipeline's candidate pool uses 1.2")
+    p.add_argument("--b", type=float, default=0.75,
+                   help="bm25 b of the bm25 scorers; pipeline's candidate pool uses 0.75")
     p.add_argument("--embeddings", help="word/entity vector table")
     p.add_argument("--gazetteer", help="surface<TAB>entityId dictionary")
     p.add_argument("--entity-stats",

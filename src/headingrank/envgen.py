@@ -57,10 +57,6 @@ class CandidateSet:
     deficit_same: int = 0
     deficit_other: int = 0
 
-    def __post_init__(self):
-        if len(set(self.paragraph_ids)) != len(self.paragraph_ids):
-            raise ValueError(f"duplicate candidate for query {self.query_id!r}")
-
 
 def _page_paragraph_ids(page: Page) -> list[str]:
     out: list[str] = []

@@ -295,12 +295,7 @@ def read_run(path: str) -> RunFile:
 
 
 def run_from_rankings(name: str, rankings: Iterable[Ranking]) -> RunFile:
-    out: dict[str, Ranking] = {}
-    for r in rankings:
-        if r.query_id in out:
-            raise ValueError(f"duplicate query id {r.query_id!r} in run")
-        out[r.query_id] = r
-    return RunFile(name=name, rankings=out)
+    return RunFile(name, {r.query_id: r for r in rankings})
 
 
 def format_metrics(report: MetricsReport, per_query: bool = False) -> str:

@@ -122,8 +122,6 @@ def rm1_terms(ix: Index, query: HeadingQuery, fb_docs: int = 10,
     renormalized to sum 1. Ties break on the term string. Queries that
     match nothing expand to nothing.
     """
-    if fb_docs < 1 or fb_terms < 1:
-        raise ValueError("fb_docs and fb_terms must be >= 1")
     skip = set(query.terms)
 
     def evidence(pid: str) -> Iterable[tuple[str, float]]:
@@ -143,9 +141,6 @@ def rm1_entities(ix: Index, texts: Mapping[str, str], query: HeadingQuery,
     freq(e in d) * P(q|d), normalized to sum 1. A linker failure on one
     paragraph drops that paragraph's evidence and is logged, not fatal.
     """
-    if fb_docs < 1 or fb_entities < 1:
-        raise ValueError("fb_docs and fb_entities must be >= 1")
-
     def evidence(pid: str) -> Iterable[tuple[str, float]]:
         return ((m.entity_id, m.count)
                 for m in link_or_warn(linker, texts[pid], "paragraph", pid))
@@ -191,10 +186,6 @@ def rocchio_expand(query: HeadingQuery, support: HeadingSupportIndex,
     unweighted mean of the unit-normalized passage vectors in the active
     scoring space; no usable support leaves the query unchanged.
     """
-    if max_passages < 1:
-        raise ValueError("max_passages must be >= 1")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must be in [0, 1]")
     # without folds, each page is a fold of its own
     fold_of = support.folds.fold_of if support.folds is not None else lambda p: p
     held_out = fold_of(query.page_id)

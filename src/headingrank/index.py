@@ -282,8 +282,6 @@ def lm_dirichlet_scores(ix: Index, q: Sequence[str], paragraph_ids: Iterable[str
     Terms with zero collection frequency are skipped. Each term's
     smoothing mass mu * cf / |C| is computed once for the whole pool.
     """
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
     smoothing: list[tuple[str, float]] = []
     for t in q:
         cf = ix.collection_tf.get(t, 0)

@@ -90,19 +90,16 @@ class CaConfig:
 
 
 class FeatureTable(Mapping[str, "np.ndarray"]):
-    """Every query's feature rows in one read-only (rows, features) matrix:
-    table[qid] is a query's contiguous block, a view of the matrix, and
-    table.paragraphs[qid] its rows' paragraph ids. rows gives each
-    query's slice; by default the queries lie end to end in that order."""
+    """Every query's feature rows in one read-only (rows, features) matrix,
+    the queries' blocks end to end in the order of paragraphs: table[qid]
+    is a query's contiguous block, a view of the matrix, and
+    table.paragraphs[qid] its rows' paragraph ids."""
 
-    def __init__(self, matrix: np.ndarray, paragraphs: Mapping[str, Sequence[str]],
-                 rows: Mapping[str, slice] | None = None):
+    def __init__(self, matrix: np.ndarray, paragraphs: Mapping[str, Sequence[str]]):
         import numpy as np
         self.paragraphs = {q: tuple(pids) for q, pids in paragraphs.items()}
-        if rows is None:
-            ends = np.cumsum([0, *map(len, self.paragraphs.values())]).tolist()
-            rows = dict(zip(self.paragraphs, map(slice, ends, ends[1:])))
-        self._rows = dict(rows)
+        ends = np.cumsum([0, *map(len, self.paragraphs.values())]).tolist()
+        self._rows = dict(zip(self.paragraphs, map(slice, ends, ends[1:])))
         self._matrix = matrix
         matrix.flags.writeable = False
         self.n_features = matrix.shape[1]
@@ -116,15 +113,10 @@ class FeatureTable(Mapping[str, "np.ndarray"]):
     def __len__(self) -> int:
         return len(self.paragraphs)
 
-    def select(self, query_ids: Sequence[str]) -> FeatureTable:
-        """These queries' rows, in the order given, sharing the matrix."""
-        return FeatureTable(self._matrix, {q: self.paragraphs[q] for q in query_ids},
-                            {q: self._rows[q] for q in query_ids})
-
     def without(self, column: int) -> FeatureTable:
         """A copy of this table less one feature column."""
         import numpy as np
-        return FeatureTable(np.delete(self._matrix, column, axis=1), self.paragraphs, self._rows)
+        return FeatureTable(np.delete(self._matrix, column, axis=1), self.paragraphs)
 
 
 def _as_table(table: FeatureTable | Mapping[str, Sequence[FeatureVector]],
@@ -161,10 +153,7 @@ def assemble_feature_table(runs: Sequence[RunFile]) -> FeatureTable:
         row_of = {pid: start + i for i, pid in enumerate(pids)}
         start += len(pids)
         for col, run in enumerate(runs):
-            ranking = run.rankings.get(qid, Ranking(qid, ()))
-            if ranking.query_id != qid:
-                raise ValueError(f"ranking for {ranking.query_id!r} passed to query {qid!r}")
-            scores = dict(ranking.items)
+            scores = dict(run.rankings.get(qid, Ranking(qid, ())).items)
             if scores:
                 lo, hi = min(scores.values()), max(scores.values())
                 matrix[[row_of[pid] for pid in scores], col] = (
@@ -356,16 +345,18 @@ def _usable_cpus() -> int:
 
 # The running cross_validate's table, qrels, feature names, each fold's
 # training queries and each fold's config, which every fold task reads.
-# Forked workers inherit it, so it reaches them without being pickled.
+# A fold trains on the whole table under its training queries' labels
+# (_PackedQueries packs only queries with positives). Forked workers
+# inherit it, so it reaches them without being pickled.
 _fold_inputs: tuple | None = None
 
 
 def _train_fold(fold: int) -> tuple[LinearModel, float]:
     """One fold's model, trained on its training queries, and its training MAP."""
     table, qrels, feature_names, train_queries, configs = _fold_inputs
-    train = table.select(train_queries[fold])
-    model = train_coordinate_ascent(train, qrels, feature_names, configs[fold])
-    return model, training_map(model, train, qrels)
+    train_qrels = Qrels({q: qrels.relevant(q) for q in train_queries[fold]})
+    model = train_coordinate_ascent(table, train_qrels, feature_names, configs[fold])
+    return model, training_map(model, table, train_qrels)
 
 
 # What a fold task calls, as this module defines it; see _fold_workers.

@@ -7,6 +7,9 @@ candidate pool. Combining a method with an expansion it cannot express
 (bm25 has no vector space for Rocchio, entity feedback only lives in
 the entity space) is rejected up front, as is an engine that lacks a
 resource its pair needs: embeddings, linker, entity stats, Rocchio support.
+MethodParams is the one check of the scorer parameters: rm1_terms,
+rm1_entities, rocchio_expand and lm_dirichlet_scores, which the engine
+calls, take theirs as checked.
 
 Relevance-model feedback reaches the scorer one way, as the (term or
 entity, weight) pairs of ExpandedQuery.feedback: bm25 weights its terms
@@ -62,8 +65,6 @@ class MethodParams:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}")
-        if self.expansion not in EXPANSIONS:
-            raise InputError(f"unknown expansion {self.expansion!r}")
         if self.expansion not in VALID_COMBINATIONS[self.method]:
             raise InvalidCombinationError(self.method, self.expansion)
         if not 0.0 <= self.lam <= 1.0:
@@ -162,7 +163,6 @@ class MethodEngine:
             feedback = tuple(rm1_terms(self.ix, query, fb_docs=p.fb_docs,
                                        fb_terms=p.fb_terms, mu=p.mu))
         elif p.expansion == "ent-rm1":
-            assert self.linker is not None
             feedback = tuple(rm1_entities(self.ix, self.texts, query, self.linker,
                                           fb_docs=p.fb_docs, fb_entities=p.fb_entities,
                                           mu=p.mu))
@@ -182,11 +182,9 @@ class MethodEngine:
         method = self.params.method
         if method == "tfidf-cs":
             return sparse_sum(eq.feedback, self.ix.doc_freq, self.ix.n_docs)
-        assert self.embeddings is not None
         if method == "glove-cs":
             doc_freq, n_docs = self.ix.doc_freq, self.ix.n_docs
         else:
-            assert self.entity_stats is not None
             doc_freq, n_docs = self.entity_stats.link_doc_freq, self.entity_stats.n_docs
         return embedding_sum(((key, weight, 0) for key, weight in eq.feedback),
                              self.embeddings, doc_freq, n_docs)

@@ -13,7 +13,6 @@ from headingrank.envgen import (
     PROVENANCE_RETRIEVED,
     PROVENANCE_SAME,
     PROVENANCE_TRUE,
-    CandidateSet,
     EnvSpec,
     _page_pools,
     build_test_env,
@@ -45,12 +44,6 @@ def test_env_spec_validation():
         EnvSpec(neg_same_article=-1)
     with pytest.raises(ValueError):
         EnvSpec(neg_other_article=-2)
-
-
-def test_candidate_set_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate candidate"):
-        CandidateSet(query_id="q", paragraph_ids=("a", "a"),
-                     provenance={"a": PROVENANCE_TRUE})
 
 
 # --- train environment ------------------------------------------------------

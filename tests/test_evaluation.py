@@ -348,11 +348,6 @@ def test_error_carries_row_number(tmp_path):
     assert exc.value.row_no == 2
 
 
-def test_run_from_rankings_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate query"):
-        run_from_rankings("r", [Ranking("q", ()), Ranking("q", ())])
-
-
 def test_format_metrics_per_query_flag():
     qrels = Qrels(positives={"q1": frozenset({"a"})})
     run = run_from_rankings("r", [Ranking("q1", (("a", 1.0),))])

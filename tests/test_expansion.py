@@ -460,15 +460,6 @@ def test_rocchio_support_vectorizing_to_zero_unchanged():
     assert not eq.is_expanded
 
 
-def test_rocchio_validates_arguments():
-    support = build_heading_support(_demo_corpus())
-    q = hq(["x"], page_id="a", heading="Demographics")
-    with pytest.raises(ValueError):
-        rocchio_expand(q, support, lambda pid: SparseVector({}), max_passages=0)
-    with pytest.raises(ValueError):
-        rocchio_expand(q, support, lambda pid: SparseVector({}), lam=2.0)
-
-
 def test_rocchio_identical_support_strictly_lifts_candidate():
     # b1 duplicates candidate a1's text, so the expansion vector points
     # straight at a1 and its cosine must strictly beat query-only.

@@ -244,8 +244,6 @@ def test_pool_scorers_match_per_pair_reference():
 
 
 def test_lm_pool_scorer_validates(three_doc_index):
-    with pytest.raises(ValueError, match="mu must be > 0"):
-        lm_dirichlet_scores(three_doc_index, ["a"], ["d1"], mu=0.0)
     with pytest.raises(KeyError):
         lm_dirichlet_scores(three_doc_index, ["a"], ["d1", "ghost"])
     assert lm_dirichlet_scores(three_doc_index, ["a"], []) == {}

@@ -69,11 +69,6 @@ def test_assemble_constant_run_maps_to_half():
     assert by_id["pb"] == (0.5, 0.0)
 
 
-def test_assemble_rejects_foreign_query():
-    with pytest.raises(ValueError, match="passed to query"):
-        _one_query_table(Ranking("other", ()))
-
-
 def test_assemble_feature_table_covers_all_queries():
     run_a = RunFile("a", {"q1": Ranking("q1", (("p1", 1.0),)),
                           "q2": Ranking("q2", (("p2", 2.0),))})
@@ -89,10 +84,6 @@ def test_feature_table_is_a_read_only_mapping_of_blocks():
     table = ltr._as_table(_separable_table(nq=4)[0], 2)
     with pytest.raises(ValueError, match="read-only"):
         table["q1"][0, 0] = 5.0
-    train = table.select(["q3", "q1"])
-    assert list(train) == ["q3", "q1"] and train.paragraphs["q1"] == table.paragraphs["q1"]
-    assert np.shares_memory(train["q1"], table["q1"])  # a fold's table copies nothing
-    assert train["q1"].tolist() == table["q1"].tolist()
     ablated = table.without(0)
     assert ablated.n_features == 1
     assert ablated["q2"].tolist() == table["q2"][:, 1:].tolist()
@@ -679,6 +670,27 @@ def test_test_fold_scores_are_linear_model_scores(tmp_path):
         write_run(RunFile("fused", merged), str(path))
         assert all(line.split()[4] != "-0" for line in path.read_text().splitlines())
     assert negative_zero_products > 0
+
+
+def test_fold_trains_on_its_training_labels_alone(monkeypatch):
+    # A fold trains on the whole table under its training queries' labels;
+    # that must be the model and MAP of a table holding only those queries.
+    rng = random.Random(31)
+    names = ("f0", "f1", "f2")
+    for trial in range(4):
+        rows, qrels = _random_table(rng, nq=rng.randint(4, 9))
+        qids = sorted(rows)
+        k = rng.randint(2, 3)
+        train_queries = [[q for i, q in enumerate(qids) if i % k != f] for f in range(k)]
+        configs = [CaConfig(seed=trial * k + f, restarts=2, iterations=4) for f in range(k)]
+        monkeypatch.setattr(ltr, "_fold_inputs", (ltr._as_table(rows, 3), qrels, names,
+                                                  train_queries, configs))
+        for f in range(k):
+            model, fold_map = ltr._train_fold(f)
+            only_train = {q: rows[q] for q in train_queries[f]}
+            want = train_coordinate_ascent(only_train, qrels, names, configs[f])
+            assert [w.hex() for w in model.weights] == [w.hex() for w in want.weights]
+            assert fold_map.hex() == training_map(want, only_train, qrels).hex()
 
 
 def test_cross_validate_validates_k():

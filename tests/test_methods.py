@@ -108,7 +108,7 @@ def test_matrix_enforced(method, expansion):
 def test_params_field_validation():
     with pytest.raises(ValueError):
         MethodParams(method="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidCombinationError, match=r"'nope'.*\(valid: none, rm1\)"):
         MethodParams(expansion="nope")
     with pytest.raises(ValueError):
         MethodParams(k1=0.0)
